@@ -43,9 +43,9 @@ use std::sync::Arc;
 use fttt::replay::digest_hex;
 use fttt_bench::replay::{check_checksum, checksum_key};
 use fttt_bench::robustness::{
-    campaign_checksum, campaign_field_side, campaign_kind_label, check_churn_digests,
-    check_envelopes, parse_shard_json, render_json, render_shard_json, rows_from_stats,
-    run_campaign_stats, CampaignConfig, CampaignKind, CampaignStats, TrialStat,
+    artifact, campaign_checksum, campaign_field_side, campaign_kind_label, check_churn_digests,
+    check_envelopes, parse_shard_json, rows_from_stats, run_campaign_stats, shard_document,
+    CampaignConfig, CampaignKind, CampaignStats, TrialStat,
 };
 use fttt_bench::{Cli, Table};
 
@@ -146,9 +146,9 @@ fn main() {
 
     let mut violations = check_envelopes(&rows, campaign_field_side(&cfg));
     violations.extend(check_churn_digests(&stats.cells, &stats.stats));
-    let json = render_json(&rows, &cfg, &violations, Some(&metrics), Some(checksum));
+    let doc = artifact(&rows, &cfg, &kind, checksum, &violations, &metrics);
     let path = "BENCH_robustness.json";
-    std::fs::write(path, json).expect("write BENCH_robustness.json");
+    std::fs::write(path, doc.to_pretty()).expect("write BENCH_robustness.json");
     println!("wrote {path}");
 
     if violations.is_empty() {
@@ -186,7 +186,7 @@ fn run_shard(
     std::fs::create_dir_all(shard_dir)
         .map_err(|e| format!("create shard dir {}: {e}", shard_dir.display()))?;
     let path = shard_file(shard_dir, shard_id, shards);
-    let json = render_shard_json(
+    let doc = shard_document(
         cfg,
         shards,
         shard_id,
@@ -194,7 +194,7 @@ fn run_shard(
         stats.map_digest,
         &registry.snapshot(),
     );
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(&path, doc.to_pretty()).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!(
         "shard {shard_id}/{shards}: {} trials -> {}",
         stats.stats.len(),

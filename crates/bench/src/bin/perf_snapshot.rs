@@ -25,26 +25,31 @@
 //! n = 40 geometry that holds the interactive sub-ms budget with margin
 //! on a shared box; DESIGN.md records the full cell-size scaling.
 //!
-//! Writes a table to stdout and a hand-formatted `BENCH_core.json` at the
-//! repository root (the vendored `serde_json` is a compile-only stub).
+//! Writes a table to stdout and `BENCH_core.json` at the repository root,
+//! one [`fttt_bench::gate`] row per `(layer, shape, metric)`: layers
+//! `facemap` (face count), `build` (ms), `matching` (µs), `speedup` (×)
+//! and `repair` (µs), shapes `n=…,cell=…`.
 //!
 //! With `--check BASELINE.json` the binary runs the same workload but,
 //! instead of writing the artifact, diffs the fresh timings against the
-//! committed baseline through [`fttt_bench::gate`] and exits nonzero on
-//! any regression beyond tolerance — the bench-trajectory gate.
+//! committed baseline through [`fttt_bench::gate::run`] and exits nonzero
+//! on any regression beyond tolerance — the bench-trajectory gate.
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
+use fttt::replay::digest_hex;
 use fttt::sampling::basic_sampling_vector;
 use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
-use fttt_bench::{Cli, Table};
+use fttt_bench::{gate, Cli, Table};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Instant;
 use wsn_geometry::{CellIndex, Grid, Point, Rect};
 use wsn_network::{Deployment, GroupSampler, SensorField};
 use wsn_signal::{uncertainty_constant, PathLossModel};
+use wsn_telemetry::json::JsonValue;
 
 struct Setup {
     positions: Vec<Point>,
@@ -59,7 +64,8 @@ struct Setup {
     probes: Vec<SamplingVector>,
 }
 
-/// Same world as `benches/matching.rs` / `benches/facemap_build.rs`.
+/// A seeded random deployment on the 100 m field, its face map at `cell`,
+/// one sampling vector at a fixed target and a grid of probe vectors.
 fn setup(n: usize, seed: u64, cell: f64) -> Setup {
     let field = Rect::square(100.0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -299,8 +305,16 @@ fn repair_median_us(map: &mut FaceMap, nodes: usize, mode: RepairMode, rounds: u
     best[best.len() / 2]
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::parse();
+    // Fail on an unreadable baseline now, not after minutes of timing.
+    let baseline = match cli.check.as_deref().map(gate::read_baseline).transpose() {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("gate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let build_rounds = if cli.fast { 2 } else { 24 };
     let match_rounds = if cli.fast { 2 } else { 16 };
     let match_batch = if cli.fast { 10 } else { 30 };
@@ -556,177 +570,111 @@ fn main() {
     wsn_telemetry::uninstall();
     let metrics = registry.snapshot();
 
-    let json = render_json(&rows, &repair, threads, cli.seed, &metrics);
-    if let Some(baseline_path) = &cli.check {
+    let doc = artifact(&rows, &repair, threads, cli.seed, &metrics);
+    if let (Some(base), Some(path)) = (&baseline, &cli.check) {
         // Regression-gate mode: compare against the committed baseline and
         // leave BENCH_core.json untouched (a gate run must not move its
         // own goalposts).
-        std::process::exit(run_gate(&json, baseline_path));
+        return gate::run(&doc, base, path);
     }
     let path = "BENCH_core.json";
-    std::fs::write(path, json).expect("write BENCH_core.json");
+    std::fs::write(path, doc.to_pretty()).expect("write BENCH_core.json");
     println!("\nwrote {path}");
+    ExitCode::SUCCESS
 }
 
-/// Diffs the rendered fresh run against the baseline at `path`; returns
-/// the process exit code (0 pass, 1 regression or unreadable baseline).
-fn run_gate(fresh_json: &str, path: &std::path::Path) -> i32 {
-    let baseline_text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("[gate] cannot read baseline {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let baseline = match wsn_telemetry::json::JsonValue::parse(&baseline_text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("[gate] baseline {} is not valid JSON: {e}", path.display());
-            return 1;
-        }
-    };
-    let fresh = wsn_telemetry::json::JsonValue::parse(fresh_json)
-        .expect("perf_snapshot renders valid JSON");
-    match fttt_bench::gate::check_core(&fresh, &baseline) {
-        Err(e) => {
-            eprintln!("[gate] structural mismatch: {e}");
-            1
-        }
-        Ok(violations) if violations.is_empty() => {
-            println!(
-                "\n[gate] PASS — all gated metrics within tolerance of {}",
-                path.display()
-            );
-            0
-        }
-        Ok(violations) => {
-            eprintln!(
-                "\n[gate] FAIL — {} regression(s) vs {}:",
-                violations.len(),
-                path.display()
-            );
-            for v in &violations {
-                eprintln!("[gate]   {v}");
-            }
-            1
-        }
-    }
-}
-
-/// Hand-formatted JSON: the vendored `serde_json` is a compile-only stub.
-/// The telemetry snapshot comes from a separate instrumented pass (the
-/// timed loops run sink-free) and is embedded under `"metrics"`.
-fn render_json(
+/// The `BENCH_core.json` document. The telemetry snapshot comes from a
+/// separate instrumented pass (the timed loops run sink-free) and is
+/// embedded under `"metrics"`.
+fn artifact(
     rows: &[Row],
     repair: &RepairRow,
     threads: usize,
     seed: u64,
     metrics: &wsn_telemetry::Snapshot,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"perf_snapshot\",\n");
-    out.push_str("  \"config\": {\n");
-    out.push_str("    \"field\": \"100x100 m\",\n");
-    out.push_str("    \"cell_size_m\": \"per row (`cell_m`): 1.0 for n <= 40, 0.5 for the match-only scale rows\",\n");
-    out.push_str("    \"adaptive\": {\"coarse_cell_m\": 4.0, \"refine\": 4},\n");
-    out.push_str(&format!("    \"threads\": {threads},\n"));
-    out.push_str(&format!("    \"seed\": {seed},\n"));
-    out.push_str(
-        "    \"reference\": \"in-binary scalar seed paths: faithful port of \
-         the seed serial FaceMap::build (per-cell SignatureVector, full-vector \
-         hash grouping, centroid/neighbor passes) and the per-face \
-         difference_norm_squared + 1/sqrt exhaustive scan\"\n",
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"results\": [\n");
+) -> JsonValue {
+    let config = JsonValue::object([
+        ("field", "100x100 m".into()),
+        (
+            "cell_size_m",
+            "per row (`cell_m`): 1.0 for n <= 40, 0.5 for the match-only scale rows".into(),
+        ),
+        (
+            "adaptive",
+            JsonValue::object([("coarse_cell_m", 4.0.into()), ("refine", 4.0.into())]),
+        ),
+        ("threads", threads.into()),
+        ("seed", digest_hex(seed).into()),
+        (
+            "reference",
+            "in-binary scalar seed paths: faithful port of the seed serial FaceMap::build \
+             (per-cell SignatureVector, full-vector hash grouping, centroid/neighbor passes) \
+             and the per-face difference_norm_squared + 1/sqrt exhaustive scan"
+                .into(),
+        ),
+    ]);
+    let mut out = Vec::new();
     for r in rows {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"faces\": {},\n", r.faces));
-        out.push_str(&format!("      \"cell_m\": {},\n", r.cell_m));
-        // The build and speedup groups exist only on the full rows; the
-        // gate is presence-driven, so match-only scale rows gate match
+        let shape = format!("n={},cell={}", r.n, r.cell_m);
+        let mut push = |layer, metric, unit, value: f64| {
+            out.push(gate::row(layer, &shape, metric, unit, value));
+        };
+        push("facemap", "faces", "count", r.faces as f64);
+        // The build and speedup layers exist only on the full rows; the
+        // gate is baseline-driven, so match-only scale rows gate match
         // metrics alone.
         if let Some(b) = &r.build {
-            out.push_str("      \"build_ms\": {\n");
-            out.push_str(&format!("        \"scalar_reference\": {:.3},\n", b.ref_ms));
-            out.push_str(&format!("        \"packed_serial\": {:.3},\n", b.serial_ms));
-            out.push_str(&format!(
-                "        \"packed_parallel\": {:.3},\n",
-                b.parallel_ms
-            ));
-            out.push_str(&format!(
-                "        \"packed_adaptive\": {:.3}\n",
-                b.adaptive_ms
-            ));
-            out.push_str("      },\n");
+            push("build", "scalar_reference", "ms", b.ref_ms);
+            push("build", "packed_serial", "ms", b.serial_ms);
+            push("build", "packed_parallel", "ms", b.parallel_ms);
+            push("build", "packed_adaptive", "ms", b.adaptive_ms);
         }
-        out.push_str("      \"match_us\": {\n");
         if let Some(match_ref) = r.match_ref_us {
-            out.push_str(&format!("        \"scalar_reference\": {match_ref:.3},\n"));
+            push("matching", "scalar_reference", "us", match_ref);
         }
-        out.push_str(&format!(
-            "        \"packed_exhaustive\": {:.3},\n",
-            r.match_packed_us
-        ));
-        out.push_str(&format!(
-            "        \"heuristic_warm\": {:.3},\n",
-            r.match_heur_us
-        ));
-        out.push_str(&format!(
-            "        \"indexed\": {:.3},\n",
-            r.match_indexed_us
-        ));
-        out.push_str(&format!(
-            "        \"indexed_p99\": {:.3}\n",
-            r.match_indexed_p99_us
-        ));
-        out.push_str("      }");
+        push("matching", "packed_exhaustive", "us", r.match_packed_us);
+        push("matching", "heuristic_warm", "us", r.match_heur_us);
+        push("matching", "indexed", "us", r.match_indexed_us);
+        push("matching", "indexed_p99", "us", r.match_indexed_p99_us);
         if let (Some(b), Some(match_ref)) = (&r.build, r.match_ref_us) {
-            out.push_str(",\n      \"speedup\": {\n");
-            out.push_str(&format!(
-                "        \"build_serial\": {:.3},\n",
-                b.ref_ms / b.serial_ms
-            ));
-            out.push_str(&format!(
-                "        \"match_exhaustive\": {:.3},\n",
-                match_ref / r.match_packed_us
-            ));
-            out.push_str(&format!(
-                "        \"match_indexed\": {:.3}\n",
-                match_ref / r.match_indexed_us
-            ));
-            out.push_str("      }\n");
-        } else {
-            out.push('\n');
+            push("speedup", "build_serial", "x", b.ref_ms / b.serial_ms);
+            push(
+                "speedup",
+                "match_exhaustive",
+                "x",
+                match_ref / r.match_packed_us,
+            );
+            push(
+                "speedup",
+                "match_indexed",
+                "x",
+                match_ref / r.match_indexed_us,
+            );
         }
-        out.push_str("    },\n");
     }
-    // The repair row closes the results array: same shape as the others
-    // (keyed by n + cell_m) with a single `map_repair_us` group, so the
-    // gate's presence-driven matching gates exactly its metrics.
-    out.push_str("    {\n");
-    out.push_str(&format!("      \"n\": {},\n", repair.n));
-    out.push_str(&format!("      \"faces\": {},\n", repair.faces));
-    out.push_str(&format!("      \"cell_m\": {},\n", repair.cell_m));
-    out.push_str("      \"map_repair_us\": {\n");
-    out.push_str(&format!(
-        "        \"incremental_median\": {:.3},\n",
-        repair.incremental_median_us
-    ));
-    out.push_str(&format!(
-        "        \"rebuild_median\": {:.3},\n",
-        repair.rebuild_median_us
-    ));
-    out.push_str(&format!("        \"events\": {}\n", repair.events));
-    out.push_str("      }\n");
-    out.push_str("    }\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": {}\n",
-        metrics.to_json_indented("  ")
-    ));
-    out.push_str("}\n");
-    out
+    let shape = format!("n={},cell={}", repair.n, repair.cell_m);
+    out.extend([
+        gate::row("facemap", &shape, "faces", "count", repair.faces),
+        gate::row(
+            "repair",
+            &shape,
+            "incremental_median",
+            "us",
+            repair.incremental_median_us,
+        ),
+        gate::row(
+            "repair",
+            &shape,
+            "rebuild_median",
+            "us",
+            repair.rebuild_median_us,
+        ),
+        gate::row("repair", &shape, "events", "count", repair.events),
+    ]);
+    gate::artifact(
+        "perf_snapshot",
+        config,
+        out,
+        [("metrics", metrics.to_json_value())],
+    )
 }

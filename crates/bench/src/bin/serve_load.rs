@@ -10,17 +10,19 @@
 //! * `serve_load [--fast] [--sessions N] [--rounds N] [--conns N]` —
 //!   run the load, print the summary, write the artifact.
 //! * `serve_load --check crates/bench/baselines/serve.json [--fast]` —
-//!   gate mode: compare the fresh run against the committed baseline and
-//!   exit 1 on regression (correctness mismatches fail regardless).
+//!   gate mode: compare the fresh run against the committed baseline
+//!   through [`fttt_bench::gate::run`] and exit 1 on regression
+//!   (correctness mismatches fail regardless).
 //! * `serve_load --connect ADDR` — drive an externally started server;
 //!   it must run the same `--nodes`/`--cell-size` map or the digest
 //!   check will (correctly) fail.
 
-use fttt_bench::serve::{render_serve_json, run_load, LoadConfig};
+use fttt_bench::gate;
+use fttt_bench::serve::{artifact, run_load, LoadConfig};
 use std::io::BufRead;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use wsn_server::{Connection, Frame, Server, ServerConfig};
-use wsn_telemetry::json::JsonValue;
 
 const USAGE: &str = "serve_load — tracking-server load generator
 
@@ -60,7 +62,7 @@ struct Args {
     server: ServerConfig,
     load: LoadConfig,
     out: String,
-    check: Option<String>,
+    check: Option<PathBuf>,
     connect: Option<String>,
     in_process: bool,
     trace_out: Option<String>,
@@ -118,7 +120,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fast" => fast = true,
             "--out" => out = value("--out")?,
-            "--check" => check = Some(value("--check")?),
+            "--check" => check = Some(PathBuf::from(value("--check")?)),
             "--connect" => connect = Some(value("--connect")?),
             "--in-process" => in_process = true,
             "--trace-out" => trace_out = Some(value("--trace-out")?),
@@ -323,21 +325,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let baseline = match &args.check {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match JsonValue::parse(&text) {
-                Ok(doc) => Some(doc),
-                Err(e) => {
-                    eprintln!("serve_load: parse baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("serve_load: read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let baseline = match args.check.as_deref().map(gate::read_baseline).transpose() {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("serve_load: {e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     // Traced pushes feed a client-side journal that `fttt-sim explain
@@ -492,42 +485,20 @@ fn main() -> ExitCode {
         report.shed_retries
     );
 
-    let json = render_serve_json(&args.server, &args.load, &report);
-    if let Some(base) = baseline {
-        let fresh = JsonValue::parse(&json).expect("own artifact parses");
-        match fttt_bench::gate::check_serve(&fresh, &base) {
-            Ok(violations) if violations.is_empty() => {
-                println!(
-                    "serve gate: PASS against {}",
-                    args.check.as_deref().unwrap()
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(violations) => {
-                eprintln!("serve gate: {} violation(s):", violations.len());
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                ExitCode::FAILURE
-            }
-            Err(msg) => {
-                eprintln!("serve gate: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        if report.digest_mismatches > 0 || report.result_mismatches > 0 {
-            eprintln!(
-                "serve_load: CORRECTNESS FAILURE — server results diverged from the \
-                 in-process engine"
-            );
+    let doc = match artifact(&args.server, &args.load, &report) {
+        Ok(doc) => doc,
+        Err(msg) => {
+            eprintln!("serve_load: {msg}");
             return ExitCode::FAILURE;
         }
-        if let Err(e) = std::fs::write(&args.out, json) {
-            eprintln!("serve_load: write {}: {e}", args.out);
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", args.out);
-        ExitCode::SUCCESS
+    };
+    if let (Some(base), Some(path)) = (&baseline, &args.check) {
+        return gate::run(&doc, base, path);
     }
+    if let Err(e) = std::fs::write(&args.out, doc.to_pretty()) {
+        eprintln!("serve_load: write {}: {e}", args.out);
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {}", args.out);
+    ExitCode::SUCCESS
 }

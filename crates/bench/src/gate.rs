@@ -1,589 +1,321 @@
-//! The bench-regression gate: diff a fresh `perf_snapshot` run against a
-//! committed baseline with per-metric tolerances.
+//! The bench artifact schema and the bench-regression gate.
 //!
-//! The ROADMAP's north star is a system that keeps running "as fast as the
-//! hardware allows" — but a number nobody checks is a number that drifts.
-//! This module pins the trajectory: `perf_snapshot --check BASELINE.json`
-//! re-times the kernels, compares each timing against the committed
-//! baseline (`crates/bench/baselines/core.json`, generated by a full
-//! `perf_snapshot` run on the machine that committed it) and exits nonzero
-//! when any metric regresses beyond its tolerance.
+//! Every bench artifact and baseline — `BENCH_core.json`,
+//! `BENCH_serve.json`, `BENCH_robustness.json` and the files under
+//! `crates/bench/baselines/` — is one JSON object with a `"bench"` name,
+//! a free-form `"config"` echo, and a `"rows"` array of measurements in
+//! one shape:
 //!
-//! Tolerances are deliberately loose — interleaved min-of-rounds timing
-//! still jitters (frequency scaling, shared CI boxes), and the gate's job
-//! is to catch *structural* losses like giving back the packed-kernel
-//! speedup, not 10% wobble. Each timing passes iff
-//! `fresh ≤ baseline × ratio + slack`; structural fields (`faces`) must
-//! match exactly since the workload is seeded and deterministic.
+//! ```json
+//! { "layer": "matching", "metric": "indexed_p99", "shape": "n=200,cell=0.5", "unit": "us", "value": 1407.275 }
+//! ```
+//!
+//! `layer` names the subsystem measured, `shape` the workload point,
+//! `metric` the quantity and `unit` its unit; `value` is a number, or a
+//! hex string for a full-range `u64` such as a campaign checksum. Every
+//! document is built as a [`JsonValue`] and written by
+//! [`JsonValue::to_pretty`].
+//!
+//! The gate diffs a fresh run against a committed baseline: every
+//! baseline row whose `(layer, metric)` appears in [`TOLERANCES`] must
+//! exist in the fresh run under the same `(layer, shape, metric)` and
+//! stay within its [`Tolerance`]. The baseline declares which rows are
+//! gated, so a shape that times only part of a layer gates only that
+//! part; extra fresh rows are ignored, since widening a sweep is not a
+//! regression. Tolerances are deliberately loose: interleaved
+//! min-of-rounds timing still jitters (frequency scaling, shared boxes),
+//! and the gate's job is to catch *structural* losses like giving back
+//! the packed-kernel speedup, not 10% wobble. They live here, in code,
+//! rather than in the baseline rows, so that no data file can loosen a
+//! gate unnoticed.
 
-use wsn_telemetry::json::JsonValue;
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::process::ExitCode;
+use wsn_telemetry::json::{format_f64, JsonValue};
 
-/// Per-metric allowance: a fresh timing passes iff
-/// `fresh ≤ baseline × ratio + slack`.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Multiplicative headroom on the baseline value.
-    pub ratio: f64,
-    /// Absolute slack added on top, in the metric's own unit (ms or µs) —
-    /// keeps tiny baselines from turning scheduler noise into failures.
-    pub slack: f64,
+/// How far a gated metric may move from its baseline value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tolerance {
+    /// Lower is better: passes iff `fresh ≤ baseline × ratio + slack`.
+    /// The absolute `slack` (in the row's unit) keeps tiny baselines from
+    /// turning scheduler noise into failures.
+    Max {
+        /// Multiplicative headroom on the baseline value.
+        ratio: f64,
+        /// Absolute headroom on top.
+        slack: f64,
+    },
+    /// Higher is better: passes iff `fresh ≥ baseline / factor`.
+    Min {
+        /// Maximum tolerated slowdown factor.
+        factor: f64,
+    },
+    /// Deterministic structure: the fresh value must equal the baseline.
+    Exact,
 }
 
-/// The gated metrics of a `BENCH_core.json` row: `(group, metric,
-/// tolerance)`, where `group` is the sub-object (`build_ms` / `match_us`).
+/// The gated `(layer, metric)` pairs.
 ///
-/// The scalar-reference timings are *not* gated: they exist to normalize
-/// the speedup story, and regressing a reference implementation is not a
-/// product regression. The packed kernels are the product.
-pub fn core_tolerances() -> Vec<(&'static str, &'static str, Tolerance)> {
-    vec![
-        (
-            "build_ms",
-            "packed_serial",
-            Tolerance {
-                ratio: 1.75,
-                slack: 2.0,
-            },
-        ),
-        (
-            "build_ms",
-            "packed_parallel",
-            Tolerance {
-                ratio: 2.0,
-                slack: 2.0,
-            },
-        ),
-        (
-            "build_ms",
-            "packed_adaptive",
-            Tolerance {
-                ratio: 2.0,
-                slack: 2.0,
-            },
-        ),
-        (
-            "match_us",
-            "packed_exhaustive",
-            Tolerance {
-                ratio: 1.75,
-                slack: 25.0,
-            },
-        ),
-        (
-            "match_us",
-            "heuristic_warm",
-            Tolerance {
-                ratio: 2.5,
-                slack: 10.0,
-            },
-        ),
-        (
-            "match_us",
-            "indexed",
-            Tolerance {
-                ratio: 1.75,
-                slack: 25.0,
-            },
-        ),
-        (
-            "match_us",
-            "indexed_p99",
-            Tolerance {
-                ratio: 1.75,
-                slack: 50.0,
-            },
-        ),
-        // The live-churn repair path: a single-node death+revive must
-        // stay interactive (sub-ms median at n=40, cell 4 m — the finest
-        // n=40 grid with real sub-ms margin; repair cost is linear in
-        // cell count). Only the incremental median is gated — the
-        // rebuild-per-event median exists to normalize the speedup story,
-        // and regressing a control is not a product regression.
-        (
-            "map_repair_us",
-            "incremental_median",
-            Tolerance {
-                ratio: 3.0,
-                slack: 300.0,
-            },
-        ),
-    ]
+/// Ungated on purpose: the scalar-reference timings and the rebuild-per-
+/// event repair median exist to normalize the speedup story (regressing a
+/// control is not a product regression), and the speedups are derived
+/// from gated timings. The live-churn repair median is gated at n = 40,
+/// cell 4 m — the finest n = 40 grid with real sub-ms margin; repair cost
+/// is linear in cell count. Served latencies include queue wait under
+/// pipelined load, so their allowances are wide: that gate exists to
+/// catch a lock on the hot path or an accidental O(sessions) scan.
+pub const TOLERANCES: [(&str, &str, Tolerance); 13] = [
+    ("facemap", "faces", Tolerance::Exact),
+    ("build", "packed_serial", max(1.75, 2.0)),
+    ("build", "packed_parallel", max(2.0, 2.0)),
+    ("build", "packed_adaptive", max(2.0, 2.0)),
+    ("matching", "packed_exhaustive", max(1.75, 25.0)),
+    ("matching", "heuristic_warm", max(2.5, 10.0)),
+    ("matching", "indexed", max(1.75, 25.0)),
+    ("matching", "indexed_p99", max(1.75, 50.0)),
+    ("repair", "incremental_median", max(3.0, 300.0)),
+    ("serve", "round_p50_us", max(3.0, 2_000.0)),
+    ("serve", "round_p99_us", max(3.0, 10_000.0)),
+    ("serve", "open_per_sec", Tolerance::Min { factor: 3.0 }),
+    ("serve", "rounds_per_sec", Tolerance::Min { factor: 3.0 }),
+];
+
+const fn max(ratio: f64, slack: f64) -> Tolerance {
+    Tolerance::Max { ratio, slack }
 }
 
-/// The gated latency metrics of a `BENCH_serve.json` row (lower is
-/// better, same pass rule as [`core_tolerances`]). Latencies under
-/// pipelined load include queue wait, so the allowances are wide: the
-/// gate exists to catch structural losses (a lock on the hot path, an
-/// accidental O(sessions) scan), not scheduler wobble on a shared box.
-pub fn serve_latency_tolerances() -> Vec<(&'static str, Tolerance)> {
-    vec![
-        (
-            "round_p50_us",
-            Tolerance {
-                ratio: 3.0,
-                slack: 2_000.0,
-            },
-        ),
-        (
-            "round_p99_us",
-            Tolerance {
-                ratio: 3.0,
-                slack: 10_000.0,
-            },
-        ),
-    ]
+/// The tolerance gating `(layer, metric)`, if it is gated at all.
+pub fn tolerance(layer: &str, metric: &str) -> Option<Tolerance> {
+    TOLERANCES
+        .iter()
+        .find(|(l, m, _)| *l == layer && *m == metric)
+        .map(|(_, _, tol)| *tol)
 }
 
-/// The gated throughput metrics of a `BENCH_serve.json` row and the
-/// maximum tolerated slowdown factor: a fresh value passes iff
-/// `fresh ≥ baseline / factor` (higher is better).
-pub fn serve_throughput_tolerances() -> Vec<(&'static str, f64)> {
-    vec![("open_per_sec", 3.0), ("rounds_per_sec", 3.0)]
+/// One measurement row.
+pub fn row(
+    layer: &str,
+    shape: &str,
+    metric: &str,
+    unit: &str,
+    value: impl Into<JsonValue>,
+) -> JsonValue {
+    JsonValue::object([
+        ("layer", layer.into()),
+        ("shape", shape.into()),
+        ("metric", metric.into()),
+        ("unit", unit.into()),
+        ("value", value.into()),
+    ])
 }
 
-/// The `results` rows of a parsed bench artifact.
-fn rows_of<'a>(doc: &'a JsonValue, label: &str) -> Result<&'a [JsonValue], String> {
-    doc.get("results")
+/// A bench document: `bench`, `config` and `rows`, plus any `extra`
+/// top-level members (a `"metrics"` snapshot, a pass flag).
+pub fn artifact<'a>(
+    bench: &str,
+    config: JsonValue,
+    rows: Vec<JsonValue>,
+    extra: impl IntoIterator<Item = (&'a str, JsonValue)>,
+) -> JsonValue {
+    JsonValue::object(
+        [
+            ("bench", bench.into()),
+            ("config", config),
+            ("rows", rows.into()),
+        ]
+        .into_iter()
+        .chain(extra),
+    )
+}
+
+/// A parsed row, borrowing from its document.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Row<'a> {
+    /// Subsystem measured.
+    pub layer: &'a str,
+    /// Workload point.
+    pub shape: &'a str,
+    /// Quantity measured.
+    pub metric: &'a str,
+    /// Unit of `value`.
+    pub unit: &'a str,
+    /// The measurement.
+    pub value: &'a JsonValue,
+}
+
+impl Row<'_> {
+    /// `layer[shape].metric` — how violations name a row.
+    fn label(&self) -> String {
+        format!("{}[{}].{}", self.layer, self.shape, self.metric)
+    }
+}
+
+/// The rows of a bench document; `Err` names the first malformed row, or
+/// says the document is not a bench artifact at all.
+pub fn rows(doc: &JsonValue) -> Result<Vec<Row<'_>>, String> {
+    let items = doc
+        .get("rows")
         .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{label}: no \"results\" array — not a bench artifact"))
-}
-
-fn metric_of(row: &JsonValue, group: &str, metric: &str) -> Option<f64> {
-    row.get(group)
-        .and_then(|g| g.get(metric))
-        .and_then(JsonValue::as_f64)
-}
-
-/// Compares a fresh `BENCH_core.json` document against a baseline one.
-///
-/// Returns the list of human-readable violations (empty = gate passes).
-/// `Err` means one of the documents is structurally not a perf-snapshot
-/// artifact at all — the caller should treat that as a failure too, but
-/// with a different message ("wrong file", not "regression").
-///
-/// Every baseline row must exist in the fresh run (matched by `n` plus
-/// `cell_m` when the baseline row carries one — the repair row shares
-/// `n = 40` with a build/match row and differs only in grid geometry),
-/// carry the same deterministic `faces` count, and beat the allowance of
-/// each [`core_tolerances`] metric *present in that baseline row* — the
-/// baseline declares what a row gates, so match-only scale rows and older
-/// baselines without newer metrics work unchanged. Extra fresh rows are
-/// ignored: widening the sweep is not a regression.
-pub fn check_core(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>, String> {
-    let base_rows = rows_of(baseline, "baseline")?;
-    let fresh_rows = rows_of(fresh, "fresh run")?;
-    if base_rows.is_empty() {
-        return Err("baseline: empty \"results\" — nothing to gate against".into());
-    }
-    let cell_of = |row: &JsonValue| row.get("cell_m").and_then(JsonValue::as_f64);
-    let mut violations = Vec::new();
-    for base in base_rows {
-        let Some(n) = base.get("n").and_then(JsonValue::as_u64) else {
-            return Err("baseline: row without a numeric \"n\"".into());
-        };
-        // Rows without a `cell_m` (older baselines) key by `n` alone —
-        // `None == None` keeps them matching.
-        let cell = cell_of(base);
-        let label = match cell {
-            Some(c) => format!("n={n} cell={c}"),
-            None => format!("n={n}"),
-        };
-        let Some(row) = fresh_rows
-            .iter()
-            .find(|r| r.get("n").and_then(JsonValue::as_u64) == Some(n) && cell_of(r) == cell)
-        else {
-            violations.push(format!("{label}: row missing from the fresh run"));
-            continue;
-        };
-        let base_faces = base.get("faces").and_then(JsonValue::as_u64);
-        let fresh_faces = row.get("faces").and_then(JsonValue::as_u64);
-        if base_faces != fresh_faces {
-            violations.push(format!(
-                "{label}: face count changed — baseline {base_faces:?}, fresh {fresh_faces:?} \
-                 (seeded build must be deterministic)"
-            ));
-        }
-        for (group, metric, tol) in core_tolerances() {
-            // Presence-driven: the baseline declares which metrics a row
-            // gates. Scale rows time only what is meaningful at their
-            // size (the N ≥ 100 match-throughput rows skip the build
-            // timings and the scalar reference), so a metric absent from
-            // the baseline row simply is not gated there. A metric the
-            // baseline *has* but the fresh run dropped is still a
-            // violation below.
-            let Some(base_v) = metric_of(base, group, metric) else {
-                continue;
+        .ok_or("no \"rows\" array — not a bench artifact")?;
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let field = |key: &str| {
+                item.get(key)
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| format!("row {i}: missing string {key:?}"))
             };
-            let Some(fresh_v) = metric_of(row, group, metric) else {
-                violations.push(format!("{label}: fresh run lacks {group}.{metric}"));
-                continue;
-            };
-            let limit = base_v * tol.ratio + tol.slack;
-            if !fresh_v.is_finite() || fresh_v < 0.0 {
-                violations.push(format!(
-                    "{label}: {group}.{metric} is not a sane timing ({fresh_v})"
-                ));
-            } else if fresh_v > limit {
-                violations.push(format!(
-                    "{label}: {group}.{metric} regressed — {fresh_v:.3} vs baseline \
-                     {base_v:.3} (limit {limit:.3} = {base_v:.3}×{} + {})",
-                    tol.ratio, tol.slack
-                ));
-            }
-        }
-    }
-    Ok(violations)
+            Ok(Row {
+                layer: field("layer")?,
+                shape: field("shape")?,
+                metric: field("metric")?,
+                unit: field("unit")?,
+                value: item
+                    .get("value")
+                    .ok_or_else(|| format!("row {i}: missing \"value\""))?,
+            })
+        })
+        .collect()
 }
 
-/// Compares a fresh `BENCH_serve.json` document against a baseline one.
+/// Compares a fresh bench document against a baseline one.
 ///
-/// Serve rows are flat (metrics at the top level of each row) and keyed
-/// by `(sessions, rounds)`. Two kinds of checks run per matched row:
-///
-/// * **Correctness is absolute**: `digest_mismatches` and
-///   `result_mismatches` in the *fresh* row must be zero and
-///   `digest_checked` positive, regardless of what the baseline says —
-///   a server that returns wrong rounds fast is not a server.
-/// * **Performance is relative**: latencies pass iff
-///   `fresh ≤ baseline × ratio + slack` ([`serve_latency_tolerances`]),
-///   throughputs iff `fresh ≥ baseline / factor`
-///   ([`serve_throughput_tolerances`]).
-///
-/// Extra fresh rows are ignored, like [`check_core`].
-pub fn check_serve(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>, String> {
-    let base_rows = rows_of(baseline, "baseline")?;
-    let fresh_rows = rows_of(fresh, "fresh run")?;
+/// Returns the violations, each naming its row as `layer[shape].metric`
+/// (empty = the gate passes). `Err` means the documents cannot be
+/// compared at all — not bench artifacts, different benches, or an empty
+/// baseline — which the caller reports as a failure too, with a
+/// different message ("wrong file", not "regression").
+pub fn check(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>, String> {
+    let base_rows = rows(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let fresh_rows = rows(fresh).map_err(|e| format!("fresh run: {e}"))?;
     if base_rows.is_empty() {
-        return Err("baseline: empty \"results\" — nothing to gate against".into());
+        return Err("baseline: empty \"rows\" — nothing to gate against".into());
     }
-    let key_of = |row: &JsonValue| {
-        let sessions = row.get("sessions").and_then(JsonValue::as_u64)?;
-        let rounds = row.get("rounds").and_then(JsonValue::as_u64)?;
-        Some((sessions, rounds))
+    let bench = |doc: &JsonValue| {
+        doc.get("bench")
+            .and_then(JsonValue::as_str)
+            .map(String::from)
     };
+    if bench(fresh) != bench(baseline) {
+        return Err(format!(
+            "fresh run is bench {:?}, baseline is bench {:?}",
+            bench(fresh),
+            bench(baseline)
+        ));
+    }
+    let by_key: BTreeMap<_, _> = fresh_rows
+        .iter()
+        .map(|r| ((r.layer, r.shape, r.metric), r))
+        .collect();
     let mut violations = Vec::new();
-    for base in base_rows {
-        let Some((sessions, rounds)) = key_of(base) else {
-            return Err("baseline: row without numeric \"sessions\"/\"rounds\"".into());
-        };
-        let label = format!("sessions={sessions} rounds={rounds}");
-        let Some(row) = fresh_rows
-            .iter()
-            .find(|r| key_of(r) == Some((sessions, rounds)))
-        else {
-            violations.push(format!("{label}: row missing from the fresh run"));
+    for base in &base_rows {
+        let Some(tol) = tolerance(base.layer, base.metric) else {
             continue;
         };
-        // Correctness invariants on the fresh row — these are what the
-        // serve bench exists to witness (bit-identical rounds from the
-        // shared-map server), so a baseline cannot waive them.
-        for field in ["digest_mismatches", "result_mismatches"] {
-            match row.get(field).and_then(JsonValue::as_u64) {
-                Some(0) => {}
-                Some(n) => violations.push(format!(
-                    "{label}: {field} = {n} — server results diverged from the in-process engine"
-                )),
-                None => violations.push(format!("{label}: fresh run lacks {field}")),
-            }
-        }
-        if row
-            .get("digest_checked")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-            == 0
-        {
-            violations.push(format!(
-                "{label}: digest_checked = 0 — no session was actually verified"
-            ));
-        }
-        for (metric, tol) in serve_latency_tolerances() {
-            let Some(base_v) = base.get(metric).and_then(JsonValue::as_f64) else {
-                continue;
-            };
-            let Some(fresh_v) = row.get(metric).and_then(JsonValue::as_f64) else {
-                violations.push(format!("{label}: fresh run lacks {metric}"));
-                continue;
-            };
-            let limit = base_v * tol.ratio + tol.slack;
-            if !fresh_v.is_finite() || fresh_v < 0.0 {
-                violations.push(format!(
-                    "{label}: {metric} is not a sane timing ({fresh_v})"
-                ));
-            } else if fresh_v > limit {
-                violations.push(format!(
-                    "{label}: {metric} regressed — {fresh_v:.1} vs baseline {base_v:.1} \
-                     (limit {limit:.1} = {base_v:.1}×{} + {})",
-                    tol.ratio, tol.slack
-                ));
-            }
-        }
-        for (metric, factor) in serve_throughput_tolerances() {
-            let Some(base_v) = base.get(metric).and_then(JsonValue::as_f64) else {
-                continue;
-            };
-            let Some(fresh_v) = row.get(metric).and_then(JsonValue::as_f64) else {
-                violations.push(format!("{label}: fresh run lacks {metric}"));
-                continue;
-            };
-            let floor = base_v / factor;
-            if !fresh_v.is_finite() || fresh_v < 0.0 {
-                violations.push(format!(
-                    "{label}: {metric} is not a sane throughput ({fresh_v})"
-                ));
-            } else if fresh_v < floor {
-                violations.push(format!(
-                    "{label}: {metric} collapsed — {fresh_v:.1}/s vs baseline {base_v:.1}/s \
-                     (floor {floor:.1} = {base_v:.1}÷{factor})"
-                ));
-            }
+        match by_key.get(&(base.layer, base.shape, base.metric)) {
+            None => violations.push(format!("{}: missing from the fresh run", base.label())),
+            Some(fresh) => violations.extend(judge(tol, base, fresh)?),
         }
     }
     Ok(violations)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn doc(rows: &[(u64, u64, f64)]) -> JsonValue {
-        // (n, faces, packed_exhaustive_us); other metrics fixed.
-        let rows_json: Vec<String> = rows
-            .iter()
-            .map(|(n, faces, us)| {
+/// The violation `fresh` commits against `base` under `tol`, if any;
+/// `Err` if the baseline value itself is unusable.
+fn judge(tol: Tolerance, base: &Row, fresh: &Row) -> Result<Option<String>, String> {
+    let label = base.label();
+    let unit = base.unit;
+    // The numeric tolerances need a numeric baseline and a sane fresh value.
+    let base_number = || {
+        base.value
+            .as_f64()
+            .ok_or_else(|| format!("baseline: {label} is not a number"))
+    };
+    let fresh_number = fresh.value.as_f64().filter(|v| v.is_finite() && *v >= 0.0);
+    let insane = || {
+        Some(format!(
+            "{label}: {} is not a sane measurement",
+            show(fresh.value)
+        ))
+    };
+    Ok(match tol {
+        Tolerance::Exact => (fresh.value != base.value).then(|| {
+            format!(
+                "{label}: changed — baseline {}, fresh {} (seeded and deterministic, \
+                 must match exactly)",
+                show(base.value),
+                show(fresh.value)
+            )
+        }),
+        Tolerance::Max { ratio, slack } => {
+            let base_v = base_number()?;
+            let Some(fresh_v) = fresh_number else {
+                return Ok(insane());
+            };
+            let limit = base_v * ratio + slack;
+            (fresh_v > limit).then(|| {
                 format!(
-                    r#"{{"n": {n}, "faces": {faces},
-                        "build_ms": {{"scalar_reference": 9.0, "packed_serial": 4.0,
-                                      "packed_parallel": 2.0, "packed_adaptive": 1.0}},
-                        "match_us": {{"scalar_reference": 900.0, "packed_exhaustive": {us},
-                                      "heuristic_warm": 5.0}}}}"#
+                    "{label}: regressed — {fresh_v:.3} vs baseline {base_v:.3} {unit} \
+                     (limit {limit:.3} = {base_v:.3}×{ratio} + {slack})"
                 )
             })
-            .collect();
-        JsonValue::parse(&format!(r#"{{"results": [{}]}}"#, rows_json.join(","))).unwrap()
-    }
-
-    #[test]
-    fn identical_documents_pass() {
-        let d = doc(&[(10, 100, 50.0), (20, 400, 100.0)]);
-        assert_eq!(check_core(&d, &d).unwrap(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn regression_beyond_tolerance_fails_with_named_metric() {
-        let base = doc(&[(20, 400, 100.0)]);
-        // 100 µs × 1.75 + 25 = 200 µs limit; 10× is far past it.
-        let fresh = doc(&[(20, 400, 1000.0)]);
-        let violations = check_core(&fresh, &base).unwrap();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("match_us.packed_exhaustive"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("n=20"));
-    }
-
-    #[test]
-    fn small_wobble_within_tolerance_passes() {
-        let base = doc(&[(20, 400, 100.0)]);
-        let fresh = doc(&[(20, 400, 130.0)]);
-        assert!(check_core(&fresh, &base).unwrap().is_empty());
-    }
-
-    #[test]
-    fn changed_face_count_fails() {
-        let base = doc(&[(20, 400, 100.0)]);
-        let fresh = doc(&[(20, 401, 100.0)]);
-        let violations = check_core(&fresh, &base).unwrap();
-        assert!(
-            violations[0].contains("face count changed"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn missing_row_and_missing_metric_fail() {
-        let base = doc(&[(10, 100, 50.0), (20, 400, 100.0)]);
-        let fresh = doc(&[(10, 100, 50.0)]);
-        let violations = check_core(&fresh, &base).unwrap();
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("missing from the fresh run")));
-
-        let mut stripped = doc(&[(10, 100, 50.0)]);
-        let row = &mut stripped.get_mut("results").unwrap().as_array_mut().unwrap()[0];
-        if let Some(JsonValue::Obj(map)) = row.get_mut("match_us") {
-            map.remove("packed_exhaustive");
         }
-        let violations = check_core(&stripped, &doc(&[(10, 100, 50.0)])).unwrap();
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("lacks match_us.packed_exhaustive")));
+        Tolerance::Min { factor } => {
+            let base_v = base_number()?;
+            let Some(fresh_v) = fresh_number else {
+                return Ok(insane());
+            };
+            let floor = base_v / factor;
+            (fresh_v < floor).then(|| {
+                format!(
+                    "{label}: collapsed — {fresh_v:.1} vs baseline {base_v:.1} {unit} \
+                     (floor {floor:.1} = {base_v:.1}÷{factor})"
+                )
+            })
+        }
+    })
+}
+
+fn show(value: &JsonValue) -> String {
+    match value {
+        JsonValue::Num(v) => format_f64(*v),
+        JsonValue::Str(s) => s.clone(),
+        other => format!("{other:?}"),
     }
+}
 
-    #[test]
-    fn extra_fresh_rows_are_not_violations() {
-        let base = doc(&[(10, 100, 50.0)]);
-        let fresh = doc(&[(10, 100, 50.0), (80, 9999, 400.0)]);
-        assert!(check_core(&fresh, &base).unwrap().is_empty());
-    }
+/// Reads and parses a baseline document, naming the path on failure.
+/// Gate binaries call this before their workload runs, so a bad path
+/// fails in milliseconds.
+pub fn read_baseline(path: &Path) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    JsonValue::parse(&text)
+        .map_err(|e| format!("baseline {} is not valid JSON: {e}", path.display()))
+}
 
-    /// Presence-driven gating: metrics absent from a baseline row are not
-    /// gated there (the `doc` fixture has no `indexed` metrics and no
-    /// violations), and a match-only row without a `build_ms` group gates
-    /// only its match metrics.
-    #[test]
-    fn metrics_absent_from_the_baseline_row_are_skipped() {
-        let base = JsonValue::parse(
-            r#"{"results": [{"n": 200, "faces": 40000,
-                "match_us": {"packed_exhaustive": 9000.0, "indexed": 300.0,
-                             "indexed_p99": 800.0}}]}"#,
-        )
-        .unwrap();
-        // Fresh run carries the same row (plus extra metrics — ignored).
-        assert!(check_core(&base, &base).unwrap().is_empty());
-        // A gated metric the baseline has but the fresh run dropped still
-        // fails, and a regression on a present metric is still caught.
-        let fresh = JsonValue::parse(
-            r#"{"results": [{"n": 200, "faces": 40000,
-                "match_us": {"packed_exhaustive": 9100.0, "indexed": 3000.0}}]}"#,
-        )
-        .unwrap();
-        let violations = check_core(&fresh, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("lacks match_us.indexed_p99")),
-            "{violations:?}"
-        );
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("match_us.indexed regressed")),
-            "{violations:?}"
-        );
-        assert_eq!(violations.len(), 2, "{violations:?}");
-    }
-
-    /// Two rows sharing `n` but differing in `cell_m` are distinct gate
-    /// keys: the n=40 repair row (cell 2 m) must not shadow — or be
-    /// shadowed by — the n=40 build/match row (cell 1 m).
-    #[test]
-    fn rows_are_keyed_by_n_and_cell() {
-        let doc_for = |repair_us: f64| {
-            JsonValue::parse(&format!(
-                r#"{{"results": [
-                    {{"n": 40, "cell_m": 1, "faces": 9910,
-                      "match_us": {{"packed_exhaustive": 100.0}}}},
-                    {{"n": 40, "cell_m": 2, "faces": 2600,
-                      "map_repair_us": {{"incremental_median": {repair_us},
-                                         "rebuild_median": 5000.0}}}}
-                ]}}"#
-            ))
-            .unwrap()
-        };
-        let base = doc_for(400.0);
-        assert!(check_core(&doc_for(400.0), &base).unwrap().is_empty());
-        // Within allowance (400×3.0 + 300 = 1500) passes...
-        assert!(check_core(&doc_for(1400.0), &base).unwrap().is_empty());
-        // ...beyond it fails, naming the repair metric and the right row.
-        let violations = check_core(&doc_for(2000.0), &base).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].contains("map_repair_us.incremental_median"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("n=40 cell=2"), "{violations:?}");
-        // Dropping the repair row from the fresh run is a violation even
-        // though another n=40 row is present.
-        let no_repair = JsonValue::parse(
-            r#"{"results": [{"n": 40, "cell_m": 1, "faces": 9910,
-                "match_us": {"packed_exhaustive": 100.0}}]}"#,
-        )
-        .unwrap();
-        let violations = check_core(&no_repair, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("n=40 cell=2") && v.contains("missing")),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn structurally_foreign_documents_are_errors() {
-        let not_bench = JsonValue::parse(r#"{"hello": 1}"#).unwrap();
-        let ok = doc(&[(10, 100, 50.0)]);
-        assert!(check_core(&not_bench, &ok).is_err());
-        assert!(check_core(&ok, &not_bench).is_err());
-        let empty = JsonValue::parse(r#"{"results": []}"#).unwrap();
-        assert!(check_core(&ok, &empty).is_err());
-    }
-
-    fn serve_doc(p50: f64, p99: f64, opens: f64, rps: f64, mismatches: u64) -> JsonValue {
-        JsonValue::parse(&format!(
-            r#"{{"results": [{{"sessions": 10000, "rounds": 5,
-                "open_per_sec": {opens}, "rounds_per_sec": {rps},
-                "round_p50_us": {p50}, "round_p99_us": {p99},
-                "digest_checked": 10000, "digest_mismatches": {mismatches},
-                "result_mismatches": 0}}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn serve_identical_documents_pass() {
-        let d = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        assert_eq!(check_serve(&d, &d).unwrap(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn serve_latency_regression_fails_throughput_direction_is_inverted() {
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        // p50 800×3 + 2000 = 4400 limit; 10 000 is far past it.
-        let slow = serve_doc(10_000.0, 4000.0, 20_000.0, 60_000.0, 0);
-        let violations = check_serve(&slow, &base).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("round_p50_us regressed"));
-
-        // A *higher* throughput must never violate; a collapsed one must.
-        let faster = serve_doc(800.0, 4000.0, 90_000.0, 200_000.0, 0);
-        assert!(check_serve(&faster, &base).unwrap().is_empty());
-        let collapsed = serve_doc(800.0, 4000.0, 5_000.0, 60_000.0, 0);
-        let violations = check_serve(&collapsed, &base).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("open_per_sec collapsed"));
-    }
-
-    #[test]
-    fn serve_digest_mismatches_fail_regardless_of_baseline() {
-        // Even a baseline that itself carries mismatches cannot waive the
-        // fresh-run invariant.
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 3);
-        let fresh = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 1);
-        let violations = check_serve(&fresh, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("digest_mismatches = 1")),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn serve_missing_row_fails() {
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        let other = JsonValue::parse(
-            r#"{"results": [{"sessions": 50, "rounds": 2,
-                "digest_checked": 50, "digest_mismatches": 0,
-                "result_mismatches": 0}]}"#,
-        )
-        .unwrap();
-        let violations = check_serve(&other, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("sessions=10000 rounds=5") && v.contains("missing")),
-            "{violations:?}"
-        );
+/// Runs [`check`] and reports it: prints `gate: PASS` or every
+/// violation, and returns the process exit code (success only on a
+/// pass).
+pub fn run(fresh: &JsonValue, baseline: &JsonValue, baseline_path: &Path) -> ExitCode {
+    let path = baseline_path.display();
+    match check(fresh, baseline) {
+        Ok(violations) if violations.is_empty() => {
+            println!("gate: PASS — all gated metrics within tolerance of {path}");
+            ExitCode::SUCCESS
+        }
+        Ok(violations) => {
+            eprintln!("gate: FAIL — {} regression(s) vs {path}:", violations.len());
+            for v in &violations {
+                eprintln!("gate:   {v}");
+            }
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("gate: cannot compare against {path}: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

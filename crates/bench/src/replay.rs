@@ -621,39 +621,15 @@ pub fn checksum_key(cfg: &CampaignConfig, campaign: &str) -> String {
     )
 }
 
-/// Renders the golden-checksum baseline document. Each entry is keyed by
-/// `(campaign kind label, config)`.
-pub fn render_checksum_baseline(entries: &[(CampaignConfig, &str, u64)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign_checksums\",\n");
-    out.push_str(
-        "  \"note\": \"golden campaign checksums; every fault_campaign run prints its \
-         checksum — update these only on an intentional simulation change\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, (cfg, campaign, sum)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"campaign\": \"{}\", \"seed\": {}, \"trials\": {}, \"duration_s\": {}, \
-             \"nodes\": {}, \"checksum\": \"{}\" }}{}\n",
-            campaign,
-            cfg.seed,
-            cfg.trials,
-            wsn_telemetry::json::format_f64(cfg.duration),
-            cfg.nodes,
-            digest_hex(*sum),
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Checks a freshly computed campaign checksum against the committed
 /// baseline document. `Ok(())` means the run matches its golden value;
-/// `Err` names the drift or the missing entry. Entries without a
-/// `"campaign"` field date from before the churn family and mean
-/// `"builtin"`.
+/// `Err` names the drift or the missing entry.
+///
+/// The baseline is a bench document whose rows are `campaign` /
+/// `checksum` rows keyed by [`checksum_key`] with hex-string values —
+/// the same row a `BENCH_robustness.json` carries. This is an exact
+/// check of the run's *own* entry, not a [`crate::gate::check`] over the
+/// whole baseline: a campaign run knows one checksum, not all of them.
 pub fn check_checksum(
     baseline_text: &str,
     cfg: &CampaignConfig,
@@ -664,46 +640,32 @@ pub fn check_checksum(
     if doc.get("bench").and_then(JsonValue::as_str) != Some("fault_campaign_checksums") {
         return Err("checksum baseline: not a fault_campaign_checksums document".into());
     }
-    let entries = doc
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or("checksum baseline: missing \"entries\" array")?;
-    for (i, e) in entries.iter().enumerate() {
-        let ctx = format!("checksum baseline entry {i}");
-        let entry_cfg = CampaignConfig {
-            seed: req_u64(e, "seed", &ctx)?,
-            trials: req_u64(e, "trials", &ctx)? as usize,
-            duration: req_f64(e, "duration_s", &ctx)?,
-            nodes: req_u64(e, "nodes", &ctx)? as usize,
-        };
-        let entry_campaign = e
-            .get("campaign")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("builtin");
-        if entry_cfg == *cfg && entry_campaign == campaign {
-            let golden = e
-                .get("checksum")
-                .and_then(JsonValue::as_str)
-                .and_then(parse_digest_hex)
-                .ok_or_else(|| format!("{ctx}: missing hex \"checksum\""))?;
-            return if golden == checksum {
-                Ok(())
-            } else {
-                Err(format!(
-                    "campaign checksum drift for {}: committed {} vs computed {} — \
-                     the simulation no longer reproduces its golden trajectory",
-                    checksum_key(cfg, campaign),
-                    digest_hex(golden),
-                    digest_hex(checksum)
-                ))
-            };
-        }
+    let rows = crate::gate::rows(&doc).map_err(|e| format!("checksum baseline: {e}"))?;
+    let key = checksum_key(cfg, campaign);
+    let Some(row) = rows
+        .iter()
+        .find(|r| r.layer == "campaign" && r.metric == "checksum" && r.shape == key)
+    else {
+        return Err(format!(
+            "checksum baseline has no entry for {key} — run fault_campaign with this config \
+             (it prints the checksum) and commit it"
+        ));
+    };
+    let golden = row
+        .value
+        .as_str()
+        .and_then(parse_digest_hex)
+        .ok_or_else(|| format!("checksum baseline: {key} is not a hex checksum"))?;
+    if golden == checksum {
+        Ok(())
+    } else {
+        Err(format!(
+            "campaign checksum drift for {key}: committed {} vs computed {} — \
+             the simulation no longer reproduces its golden trajectory",
+            digest_hex(golden),
+            digest_hex(checksum)
+        ))
     }
-    Err(format!(
-        "checksum baseline has no entry for {} — run fault_campaign with this config \
-         (it prints the checksum) and commit it",
-        checksum_key(cfg, campaign)
-    ))
 }
 
 #[cfg(test)]
@@ -714,11 +676,24 @@ mod tests {
     fn checksum_baseline_round_trips_and_gates() {
         let fast = CampaignConfig::fast(42);
         let full = CampaignConfig::full(42);
-        let text = render_checksum_baseline(&[
+        let rows = [
             (fast, "builtin", 0xabc),
             (full, "builtin", 0xdef),
             (fast, "churn", 0x123),
-        ]);
+        ]
+        .iter()
+        .map(|(cfg, campaign, sum)| {
+            let key = checksum_key(cfg, campaign);
+            crate::gate::row("campaign", &key, "checksum", "hex", digest_hex(*sum))
+        })
+        .collect();
+        let doc = crate::gate::artifact(
+            "fault_campaign_checksums",
+            JsonValue::object::<&str>([]),
+            rows,
+            [],
+        );
+        let text = doc.to_pretty();
         assert!(check_checksum(&text, &fast, "builtin", 0xabc).is_ok());
         assert!(check_checksum(&text, &full, "builtin", 0xdef).is_ok());
         // The same config under a different campaign kind is a different
@@ -735,12 +710,8 @@ mod tests {
         assert!(missing.contains("no entry"), "{missing}");
         assert!(missing.contains("seed=7"), "{missing}");
 
-        // A pre-churn entry without a "campaign" field means builtin.
-        let legacy = r#"{ "bench": "fault_campaign_checksums", "entries": [
-            { "seed": 42, "trials": 3, "duration_s": 20, "nodes": 8, "checksum": "0x0000000000000abc" }
-        ] }"#;
-        assert!(check_checksum(legacy, &fast, "builtin", 0xabc).is_ok());
-        assert!(check_checksum(legacy, &fast, "churn", 0xabc).is_err());
+        let foreign = r#"{ "bench": "perf_snapshot", "rows": [] }"#;
+        assert!(check_checksum(foreign, &fast, "builtin", 0xabc).is_err());
     }
 
     #[test]

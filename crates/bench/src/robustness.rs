@@ -42,7 +42,7 @@
 //! and the trial digests fold into a campaign [`campaign_checksum`]. The
 //! per-trial records are also the unit of distribution: a shard runs the
 //! trial subset `i % shards == shard_id` of every cell, writes its
-//! [`TrialStat`]s to disk ([`render_shard_json`]), and the coordinator
+//! [`TrialStat`]s to disk ([`shard_document`]), and the coordinator
 //! merges them back ([`parse_shard_json`]) — aggregation always walks the
 //! per-trial stats in `(cell, trial)` order, so single-process and merged
 //! sharded runs produce bit-identical rows and checksums.
@@ -59,7 +59,9 @@ use rand_chacha::ChaCha8Rng;
 use wsn_network::{GroupSampler, Schedule, SensorField};
 use wsn_parallel::{par_map, seed_for};
 use wsn_telemetry as telemetry;
-use wsn_telemetry::json::{format_f64, format_str, JsonValue};
+use wsn_telemetry::json::JsonValue;
+
+use crate::gate;
 
 /// Campaign workload parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -859,161 +861,130 @@ pub fn campaign_field_side(cfg: &CampaignConfig) -> f64 {
     campaign_params(cfg).field_side
 }
 
-/// Hand-formatted JSON artifact (the vendored `serde_json` is a
-/// compile-only stub). When a telemetry snapshot is supplied it is
-/// embedded under a `"metrics"` key so `BENCH_robustness.json` carries
-/// the campaign's instrumentation counters alongside the envelopes.
+/// The `BENCH_robustness.json` document: per cell, one `campaign` row
+/// for each aggregate at shape `regime=…,method=…` (plus `,rate=…` on the
+/// node-failure sweep), and the campaign checksum as a `checksum` row at
+/// the [`crate::replay::checksum_key`] shape — the same row the
+/// golden-checksum baseline holds. The telemetry snapshot rides along
+/// under `"metrics"`.
 ///
-/// Every float goes through [`wsn_telemetry::json::format_f64`] — the
-/// shortest string that parses back to the exact same bits — so the
-/// replay/diff parser and the sharded merge see the values the run
-/// computed, not a `{:.3}` truncation of them. The campaign checksum is
-/// serialized as a hex *string* (JSON numbers are f64 and lose integer
-/// precision above 2⁵³).
-pub fn render_json(
+/// Floats keep every bit through [`JsonValue::to_pretty`], so the replay
+/// diff and the sharded merge see the values the run computed; the
+/// checksum is a hex *string*, since JSON numbers are f64 and lose
+/// integer precision above 2⁵³.
+pub fn artifact(
     rows: &[CampaignRow],
     cfg: &CampaignConfig,
+    kind: &CampaignKind,
+    checksum: u64,
     violations: &[String],
-    metrics: Option<&wsn_telemetry::Snapshot>,
-    checksum: Option<u64>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign\",\n");
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("    \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "    \"duration_s\": {},\n",
-        format_f64(cfg.duration)
-    ));
-    out.push_str(&format!("    \"nodes\": {},\n", cfg.nodes));
-    out.push_str(&format!(
-        "    \"field_side_m\": {},\n",
-        format_f64(campaign_field_side(cfg))
-    ));
-    let rates: Vec<String> = SWEEP_RATES.iter().map(|r| format_f64(*r)).collect();
-    out.push_str(&format!("    \"sweep_rates\": [{}],\n", rates.join(", ")));
-    out.push_str(
-        "    \"envelope\": \"mean(rate) <= 3*mean(0) + 12 m; all cells <= 0.55*field_side; \
-         blackout must reach Lost and majority-recover\"\n",
-    );
-    out.push_str("  },\n");
-    if let Some(sum) = checksum {
-        out.push_str(&format!("  \"checksum\": \"{}\",\n", digest_hex(sum)));
-    }
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"regime\": {},\n", format_str(&r.regime)));
-        out.push_str(&format!("      \"method\": {},\n", format_str(r.method)));
-        match r.fault_rate {
-            Some(rate) => out.push_str(&format!("      \"fault_rate\": {},\n", format_f64(rate))),
-            None => out.push_str("      \"fault_rate\": null,\n"),
+    metrics: &wsn_telemetry::Snapshot,
+) -> JsonValue {
+    let config = JsonValue::object([
+        ("seed", digest_hex(cfg.seed).into()),
+        ("trials", cfg.trials.into()),
+        ("duration_s", cfg.duration.into()),
+        ("nodes", cfg.nodes.into()),
+        ("field_side_m", campaign_field_side(cfg).into()),
+        (
+            "sweep_rates",
+            SWEEP_RATES
+                .iter()
+                .map(|r| JsonValue::from(*r))
+                .collect::<Vec<_>>()
+                .into(),
+        ),
+        (
+            "envelope",
+            "mean(rate) <= 3*mean(0) + 12 m; all cells <= 0.55*field_side; \
+             blackout must reach Lost and majority-recover"
+                .into(),
+        ),
+    ]);
+    let mut out = Vec::with_capacity(7 * rows.len() + 1);
+    for r in rows {
+        let mut shape = format!("regime={},method={}", r.regime, r.method);
+        if let Some(rate) = r.fault_rate {
+            shape.push_str(&format!(",rate={rate}"));
         }
-        out.push_str(&format!(
-            "      \"mean_error_m\": {},\n",
-            format_f64(r.mean_error)
-        ));
-        out.push_str(&format!(
-            "      \"worst_error_m\": {},\n",
-            format_f64(r.worst_error)
-        ));
-        out.push_str(&format!(
-            "      \"lost_fraction\": {},\n",
-            format_f64(r.lost_fraction)
-        ));
-        out.push_str(&format!(
-            "      \"degraded_fraction\": {},\n",
-            format_f64(r.degraded_fraction)
-        ));
-        out.push_str(&format!("      \"trials_lost\": {},\n", r.trials_lost));
-        out.push_str(&format!(
-            "      \"recovery_rate\": {},\n",
-            format_f64(r.recovery_rate)
-        ));
-        out.push_str(&format!(
-            "      \"mean_samples\": {}\n",
-            format_f64(r.mean_samples)
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        let mut push = |metric, unit, value: f64| {
+            out.push(gate::row("campaign", &shape, metric, unit, value));
+        };
+        push("mean_error_m", "m", r.mean_error);
+        push("worst_error_m", "m", r.worst_error);
+        push("lost_fraction", "frac", r.lost_fraction);
+        push("degraded_fraction", "frac", r.degraded_fraction);
+        push("trials_lost", "count", r.trials_lost as f64);
+        push("recovery_rate", "frac", r.recovery_rate);
+        push("mean_samples", "count", r.mean_samples);
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"violations\": {},\n", violations.len()));
-    if let Some(snap) = metrics {
-        out.push_str(&format!(
-            "  \"metrics\": {},\n",
-            snap.to_json_indented("  ")
-        ));
-    }
-    out.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    out.push_str("}\n");
-    out
+    out.push(gate::row(
+        "campaign",
+        &crate::replay::checksum_key(cfg, campaign_kind_label(kind)),
+        "checksum",
+        "hex",
+        digest_hex(checksum),
+    ));
+    gate::artifact(
+        "fault_campaign",
+        config,
+        out,
+        [
+            ("violations", violations.len().into()),
+            ("pass", violations.is_empty().into()),
+            ("metrics", metrics.to_json_value()),
+        ],
+    )
 }
 
-/// Renders one shard's output: config echo, shard coordinates, per-trial
-/// stats and the shard's telemetry snapshot. The coordinator re-parses
-/// this with [`parse_shard_json`] and merges.
-pub fn render_shard_json(
+/// One shard's output: config echo, shard coordinates, per-trial stats
+/// and the shard's telemetry snapshot. The coordinator re-parses it with
+/// [`parse_shard_json`] and merges. Full-range `u64`s (seeds, digests)
+/// are hex strings; counts and the 48-bit session ids are exact numbers.
+pub fn shard_document(
     cfg: &CampaignConfig,
     shards: usize,
     shard_id: usize,
     stats: &[TrialStat],
     map_digest: u64,
     metrics: &wsn_telemetry::Snapshot,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign_shard\",\n");
-    out.push_str(&format!("  \"shard\": {shard_id},\n"));
-    out.push_str(&format!("  \"shards\": {shards},\n"));
-    out.push_str("  \"config\": {\n");
-    // The master seed is a full-range u64: hex string, not a JSON number
-    // (f64 is exact only below 2^53).
-    out.push_str(&format!("    \"seed\": \"{}\",\n", digest_hex(cfg.seed)));
-    out.push_str(&format!("    \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "    \"duration_s\": {},\n",
-        format_f64(cfg.duration)
-    ));
-    out.push_str(&format!("    \"nodes\": {}\n", cfg.nodes));
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"map_digest\": \"{}\",\n",
-        digest_hex(map_digest)
-    ));
-    out.push_str("  \"trials\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"cell\": {}, \"trial\": {}, \"seed\": \"{}\", \"session\": {}, \
-             \"mean_error\": {}, \"rounds\": {}, \"lost_rounds\": {}, \
-             \"degraded_rounds\": {}, \"recovered\": {}, \"total_samples\": {}, \
-             \"digest\": \"{}\" }}{}\n",
-            s.cell,
-            s.trial,
-            digest_hex(s.seed),
-            s.session,
-            format_f64(s.mean_error),
-            s.rounds,
-            s.lost_rounds,
-            s.degraded_rounds,
-            s.recovered,
-            s.total_samples,
-            digest_hex(s.digest),
-            if i + 1 == stats.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": {}\n",
-        metrics.to_json_indented("  ")
-    ));
-    out.push_str("}\n");
-    out
+) -> JsonValue {
+    let exact = |v: u64| JsonValue::Num(v as f64);
+    let trials = stats
+        .iter()
+        .map(|s| {
+            JsonValue::object([
+                ("cell", s.cell.into()),
+                ("trial", exact(s.trial)),
+                ("seed", digest_hex(s.seed).into()),
+                ("session", exact(s.session)),
+                ("mean_error", s.mean_error.into()),
+                ("rounds", exact(s.rounds)),
+                ("lost_rounds", exact(s.lost_rounds)),
+                ("degraded_rounds", exact(s.degraded_rounds)),
+                ("recovered", s.recovered.into()),
+                ("total_samples", exact(s.total_samples)),
+                ("digest", digest_hex(s.digest).into()),
+            ])
+        })
+        .collect::<Vec<_>>();
+    JsonValue::object([
+        ("bench", "fault_campaign_shard".into()),
+        ("shard", shard_id.into()),
+        ("shards", shards.into()),
+        (
+            "config",
+            JsonValue::object([
+                ("seed", digest_hex(cfg.seed).into()),
+                ("trials", cfg.trials.into()),
+                ("duration_s", cfg.duration.into()),
+                ("nodes", cfg.nodes.into()),
+            ]),
+        ),
+        ("map_digest", digest_hex(map_digest).into()),
+        ("trials", trials.into()),
+        ("metrics", metrics.to_json_value()),
+    ])
 }
 
 /// A parsed shard file.
@@ -1045,7 +1016,7 @@ fn field_f64(v: &JsonValue, key: &str, ctx: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{ctx}: missing numeric {key:?}"))
 }
 
-/// Parses a [`render_shard_json`] document back.
+/// Parses a [`shard_document`] back.
 pub fn parse_shard_json(text: &str) -> Result<ShardFile, String> {
     let doc = JsonValue::parse(text).map_err(|e| format!("shard file: {e}"))?;
     if doc.get("bench").and_then(JsonValue::as_str) != Some("fault_campaign_shard") {
@@ -1222,7 +1193,7 @@ mod tests {
         registry.counter("wsn.regime.activations").add(3);
         registry.gauge("fttt.session.samples_k").set(0.1 + 0.2);
         let snap = registry.snapshot();
-        let text = render_shard_json(&cfg, 2, 1, &part.stats, part.map_digest, &snap);
+        let text = shard_document(&cfg, 2, 1, &part.stats, part.map_digest, &snap).to_pretty();
         let back = parse_shard_json(&text).unwrap();
         assert_eq!(back.shard, 1);
         assert_eq!(back.shards, 2);
@@ -1287,48 +1258,18 @@ mod tests {
         assert!(v.iter().any(|m| m.contains("entered Lost")), "{v:?}");
     }
 
+    /// The artifact's rows carry every aggregate bit-exactly through the
+    /// shared writer and reader, showcase rows omit the rate from their
+    /// shape, and the checksum and a full-range master seed ride as hex
+    /// strings.
     #[test]
-    fn json_is_well_formed_enough() {
-        let cfg = CampaignConfig::fast(1);
-        let rows = vec![CampaignRow {
-            regime: "burst".into(),
-            method: "FTTT-basic",
-            fault_rate: None,
-            mean_error: 9.5,
-            worst_error: 12.0,
-            lost_fraction: 0.1,
-            degraded_fraction: 0.2,
-            trials_lost: 1,
-            recovery_rate: 1.0,
-            mean_samples: 6.0,
-        }];
-        let json = render_json(&rows, &cfg, &[], None, None);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"fault_rate\": null"));
-        assert!(json.contains("\"pass\": true"));
-        assert!(!json.contains("\"metrics\""));
-        assert!(!json.contains("\"checksum\""));
-
-        let registry = wsn_telemetry::Registry::new();
-        registry.counter("wsn.regime.activations").add(7);
-        let snap = registry.snapshot();
-        let json = render_json(&rows, &cfg, &[], Some(&snap), Some(0xdead_beef));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"metrics\""));
-        assert!(json.contains("\"wsn.regime.activations\": 7"));
-        assert!(json.contains("\"checksum\": \"0x00000000deadbeef\""));
-    }
-
-    /// The artifact's floats must round-trip exactly through the shared
-    /// JSON parser — the `{:.3}` truncation this replaces could not.
-    #[test]
-    fn artifact_floats_round_trip_exactly() {
-        let cfg = CampaignConfig::fast(1);
+    fn artifact_rows_round_trip_exactly() {
+        let cfg = CampaignConfig::fast(u64::MAX);
         let mean = 9.123456789012345;
-        let rows = vec![CampaignRow {
-            regime: "burst".into(),
+        let row = |regime: &str, rate| CampaignRow {
+            regime: regime.into(),
             method: "FTTT-basic",
-            fault_rate: Some(0.1),
+            fault_rate: rate,
             mean_error: mean,
             worst_error: mean * 1.5,
             lost_fraction: 1.0 / 3.0,
@@ -1336,24 +1277,65 @@ mod tests {
             trials_lost: 1,
             recovery_rate: 2.0 / 3.0,
             mean_samples: 5.123,
-        }];
-        let json = render_json(&rows, &cfg, &[], None, None);
-        let doc = JsonValue::parse(&json).unwrap();
-        let row = &doc.get("rows").and_then(JsonValue::as_array).unwrap()[0];
-        for (key, want) in [
-            ("mean_error_m", mean),
-            ("worst_error_m", mean * 1.5),
-            ("lost_fraction", 1.0 / 3.0),
-            ("degraded_fraction", 0.1 + 0.2),
-            ("recovery_rate", 2.0 / 3.0),
-            ("mean_samples", 5.123),
+        };
+        let rows = [row(SWEEP_REGIME, Some(0.1)), row("burst", None)];
+        let registry = wsn_telemetry::Registry::new();
+        registry.counter("wsn.regime.activations").add(7);
+        let doc = artifact(
+            &rows,
+            &cfg,
+            &CampaignKind::Builtin,
+            0xdead_beef,
+            &[],
+            &registry.snapshot(),
+        );
+        let doc = JsonValue::parse(&doc.to_pretty()).unwrap();
+        let parsed = gate::rows(&doc).unwrap();
+        let value = |shape: &str, metric: &str| {
+            parsed
+                .iter()
+                .find(|r| r.shape == shape && r.metric == metric)
+                .map(|r| r.value.clone())
+        };
+        for shape in [
+            "regime=node-failure,method=FTTT-basic,rate=0.1",
+            "regime=burst,method=FTTT-basic",
         ] {
-            let got = row.get(key).and_then(JsonValue::as_f64).unwrap();
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{key} mangled: {want} -> {got}"
-            );
+            for (metric, want) in [
+                ("mean_error_m", mean),
+                ("worst_error_m", mean * 1.5),
+                ("lost_fraction", 1.0 / 3.0),
+                ("degraded_fraction", 0.1 + 0.2),
+                ("trials_lost", 1.0),
+                ("recovery_rate", 2.0 / 3.0),
+                ("mean_samples", 5.123),
+            ] {
+                let got = value(shape, metric).and_then(|v| v.as_f64()).unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{shape} {metric}: {want} -> {got}"
+                );
+            }
         }
+        let key = crate::replay::checksum_key(&cfg, "builtin");
+        assert_eq!(
+            value(&key, "checksum"),
+            Some(JsonValue::Str("0x00000000deadbeef".into()))
+        );
+        assert_eq!(parsed.len(), 2 * 7 + 1);
+        let seed = doc.get("config").and_then(|c| c.get("seed"));
+        assert_eq!(
+            seed.and_then(JsonValue::as_str).and_then(parse_digest_hex),
+            Some(u64::MAX)
+        );
+        assert_eq!(doc.get("pass"), Some(&JsonValue::Bool(true)));
+        assert_eq!(
+            doc.get("metrics")
+                .and_then(|m| m.get("counters"))
+                .and_then(|c| c.get("wsn.regime.activations"))
+                .and_then(JsonValue::as_u64),
+            Some(7)
+        );
     }
 }

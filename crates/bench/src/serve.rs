@@ -9,8 +9,8 @@
 //! shared map to produce the *expected* per-round results and replay
 //! digests, and (b) pushed over the wire. Any divergence between the two
 //! is a correctness failure (`result_mismatches` / `digest_mismatches`),
-//! not a performance number — [`crate::gate::check_serve`] refuses to
-//! waive it regardless of baseline.
+//! not a performance number — [`artifact`] refuses such a run, so it is
+//! never written or gated, regardless of baseline.
 //!
 //! Load shape: `conns` client connections each own `sessions / conns`
 //! sessions and keep up to `window` pushes in flight (at most one per
@@ -32,6 +32,7 @@ use std::time::Instant;
 use wsn_network::replay::digest_hex;
 use wsn_parallel::seed_for;
 use wsn_server::{Connection, ErrorCode, Frame, ReadingRound, RoundResult, ServerConfig};
+use wsn_telemetry::json::JsonValue;
 use wsn_telemetry::ArgValue;
 
 /// Load-generator shape.
@@ -561,69 +562,67 @@ pub fn run_load(
     Ok(report)
 }
 
-/// Renders a `BENCH_serve.json` document (the shape
-/// [`crate::gate::check_serve`] consumes).
-pub fn render_serve_json(server: &ServerConfig, load: &LoadConfig, report: &ServeReport) -> String {
-    format!(
-        r#"{{
-  "bench": "serve",
-  "config": {{
-    "shards": {shards},
-    "queue_depth": {queue},
-    "nodes": {nodes},
-    "conns": {conns},
-    "window": {window},
-    "seed": {seed},
-    "extended_every": {ext}
-  }},
-  "results": [
-    {{
-      "sessions": {sessions},
-      "rounds": {rounds},
-      "open_per_sec": {ops:.1},
-      "rounds_per_sec": {rps:.1},
-      "round_p50_us": {p50:.1},
-      "round_p99_us": {p99:.1},
-      "digest_checked": {checked},
-      "digest_mismatches": {dmiss},
-      "result_mismatches": {rmiss},
-      "shed_retries": {shed},
-      "rounds_total": {total}
-    }}
-  ]
-}}
-"#,
-        shards = server.shards,
-        queue = server.queue_depth,
-        nodes = server.params.nodes,
-        conns = report.conns,
-        window = load.window,
-        seed = load.seed,
-        ext = load.extended_every,
-        sessions = report.sessions,
-        rounds = report.rounds,
-        ops = report.open_per_sec,
-        rps = report.rounds_per_sec,
-        p50 = report.round_p50_us,
-        p99 = report.round_p99_us,
-        checked = report.digest_checked,
-        dmiss = report.digest_mismatches,
-        rmiss = report.result_mismatches,
-        shed = report.shed_retries,
-        total = report.rounds_total,
-    )
+/// The `BENCH_serve.json` document for a finished run: one `serve` row
+/// per metric at shape `sessions=…,rounds=…`.
+///
+/// Refuses (`Err`) a run in which any session or round diverged from the
+/// shadow engine, or in which no session was verified at all: such a run
+/// is a correctness failure, so it is neither written nor gated,
+/// whatever a baseline says.
+pub fn artifact(
+    server: &ServerConfig,
+    load: &LoadConfig,
+    report: &ServeReport,
+) -> Result<JsonValue, String> {
+    if report.digest_mismatches > 0 || report.result_mismatches > 0 {
+        return Err(format!(
+            "CORRECTNESS FAILURE — server results diverged from the in-process engine \
+             ({} digest mismatches, {} result mismatches)",
+            report.digest_mismatches, report.result_mismatches
+        ));
+    }
+    if report.digest_checked == 0 {
+        return Err("no session digest was checked — nothing was verified".into());
+    }
+    let config = JsonValue::object([
+        ("shards", server.shards.into()),
+        ("queue_depth", server.queue_depth.into()),
+        ("nodes", server.params.nodes.into()),
+        ("conns", report.conns.into()),
+        ("window", load.window.into()),
+        ("seed", digest_hex(load.seed).into()),
+        ("extended_every", load.extended_every.into()),
+    ]);
+    let shape = format!("sessions={},rounds={}", report.sessions, report.rounds);
+    let row = |metric, unit, value: f64| crate::gate::row("serve", &shape, metric, unit, value);
+    let rows = vec![
+        row("open_per_sec", "1/s", report.open_per_sec),
+        row("rounds_per_sec", "1/s", report.rounds_per_sec),
+        row("round_p50_us", "us", report.round_p50_us),
+        row("round_p99_us", "us", report.round_p99_us),
+        row("digest_checked", "count", report.digest_checked as f64),
+        row(
+            "digest_mismatches",
+            "count",
+            report.digest_mismatches as f64,
+        ),
+        row(
+            "result_mismatches",
+            "count",
+            report.result_mismatches as f64,
+        ),
+        row("shed_retries", "count", report.shed_retries as f64),
+        row("rounds_total", "count", report.rounds_total as f64),
+    ];
+    Ok(crate::gate::artifact("serve", config, rows, []))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_telemetry::json::JsonValue;
 
-    #[test]
-    fn rendered_report_parses_and_self_gates() {
-        let server = ServerConfig::fast();
-        let load = LoadConfig::fast();
-        let report = ServeReport {
+    fn report(load: &LoadConfig) -> ServeReport {
+        ServeReport {
             sessions: load.sessions,
             rounds: load.rounds,
             conns: load.conns,
@@ -636,10 +635,37 @@ mod tests {
             result_mismatches: 0,
             shed_retries: 3,
             rounds_total: (load.sessions * load.rounds) as u64,
-        };
-        let doc = JsonValue::parse(&render_serve_json(&server, &load, &report)).unwrap();
-        let violations = crate::gate::check_serve(&doc, &doc).unwrap();
-        assert_eq!(violations, Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn artifact_parses_and_self_gates() {
+        let (server, load) = (ServerConfig::fast(), LoadConfig::fast());
+        let doc = artifact(&server, &load, &report(&load)).unwrap();
+        let doc = JsonValue::parse(&doc.to_pretty()).unwrap();
+        assert_eq!(crate::gate::check(&doc, &doc), Ok(vec![]));
+    }
+
+    /// `serve_load` writes and gates only what this accepts: a run with
+    /// any digest or result mismatch, or with nothing verified, is
+    /// refused before a baseline is ever consulted.
+    #[test]
+    fn mismatched_or_unverified_runs_are_refused() {
+        let (server, load) = (ServerConfig::fast(), LoadConfig::fast());
+        let mut digest = report(&load);
+        digest.digest_mismatches = 1;
+        let mut result = report(&load);
+        result.result_mismatches = 2;
+        let mut unverified = report(&load);
+        unverified.digest_checked = 0;
+        for (bad, needle) in [
+            (digest, "1 digest mismatches"),
+            (result, "2 result mismatches"),
+            (unverified, "nothing was verified"),
+        ] {
+            let err = artifact(&server, &load, &bad).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn campaign_populates_every_telemetry_layer() {
     assert!(counter("wsn.sampler.readings_delivered") > 0);
 
     // The exporters agree with the snapshot on this real workload.
-    let json = snap.to_json();
+    let json = snap.to_json_value().to_pretty();
     assert!(json.contains("\"fttt.session.rounds\""));
     let prom = snap.to_prometheus();
     assert!(prom.contains("fttt_session_rounds"));

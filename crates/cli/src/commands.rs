@@ -66,7 +66,7 @@ fn emit_trace(opts: &Options, journal: Option<std::sync::Arc<wsn_telemetry::Jour
 /// Renders a snapshot in the format picked by `--metrics-format`.
 fn metrics_payload(snap: &wsn_telemetry::Snapshot, format: MetricsFormat) -> String {
     match format {
-        MetricsFormat::Json => snap.to_json() + "\n",
+        MetricsFormat::Json => snap.to_json_value().to_pretty(),
         MetricsFormat::Prom => snap.to_prometheus(),
     }
 }

@@ -3,7 +3,6 @@
 
 /// Summary statistics over a sequence of per-localization errors (metres).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErrorStats {
     /// Number of localizations.
     pub count: usize,

@@ -22,7 +22,6 @@ use wsn_telemetry as telemetry;
 
 /// Dense face identifier (index into [`FaceMap::faces`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaceId(pub u32);
 
 impl FaceId {
@@ -42,7 +41,6 @@ impl fmt::Display for FaceId {
 /// One face of the division: a maximal set of grid cells sharing a
 /// signature vector.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Face {
     /// Identifier (equals the face's index).
     pub id: FaceId,

@@ -700,14 +700,19 @@ unsafe fn chunk_bound_avx2(env: &ChunkEnvelope<'_>, vp: &[u64], vm: &[u64], pr: 
 mod tests {
     use super::*;
 
-    /// Unit tests in this module mutate the process-global override;
-    /// serialize them (integration suites run in their own processes).
-    fn with_forced<T>(k: Option<KernelKind>, f: impl FnOnce() -> T) -> T {
+    /// Unit tests in this module mutate the process-global override, and
+    /// any test that reads it must not see a sibling's pin: every read or
+    /// write of the override in these tests holds this lock
+    /// (integration suites run in their own processes).
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
         use std::sync::Mutex;
         static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn with_forced<T>(k: Option<KernelKind>, f: impl FnOnce() -> T) -> T {
+        let _guard = lock();
         assert!(force_kernel(k));
         let out = f();
         force_kernel(None);
@@ -839,11 +844,13 @@ mod tests {
         with_forced(Some(KernelKind::Scalar), || {
             assert_eq!(active_kernel(), KernelKind::Scalar);
         });
+        let _guard = lock();
         assert_eq!(active_kernel(), detect());
     }
 
     #[test]
     fn unsupported_kernels_are_refused() {
+        let _guard = lock();
         let supported = available_kernels();
         for k in [
             KernelKind::Scalar,

@@ -4,7 +4,6 @@ use crate::point::Point;
 
 /// An axis-aligned rectangle `[min.x, max.x] × [min.y, max.y]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -28,7 +28,6 @@ use crate::point::Point;
 /// smaller node ID); `NearSecond` is the symmetric case (`-1`); `Uncertain`
 /// is the band between the two Apollonius circles (`0`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PairRegion {
     /// `d(p,a)/d(p,b) < 1/C`: the RSS order is reliably `a` before `b`.
     NearFirst,
@@ -136,7 +135,6 @@ pub fn apollonius_circle(a: Point, b: Point, k: f64) -> Option<Circle> {
 
 /// Both Apollonius circles bounding a pair's uncertain area (Definition 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UncertainBoundary {
     /// First node of the pair.
     pub a: Point,

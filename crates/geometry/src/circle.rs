@@ -4,7 +4,6 @@ use crate::point::Point;
 
 /// A circle in the plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circle {
     /// Centre of the circle.
     pub center: Point,

@@ -4,7 +4,6 @@ use crate::point::{Point, Vector};
 
 /// A directed line segment from `start` to `end`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Start point.
     pub start: Point,

@@ -21,7 +21,6 @@ use wsn_geometry::{Point, Rect, Vector};
 
 /// Gauss–Markov mobility parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaussMarkov {
     /// Field the target roams in.
     pub field: Rect,

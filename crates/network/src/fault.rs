@@ -52,7 +52,6 @@ pub(crate) fn check_probability(name: &str, v: f64) -> Result<(), ConfigError> {
 
 /// Probabilistic and deterministic sensor faults.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultModel {
     /// Probability that a node returns nothing for an entire grouping
     /// sampling (drawn independently per node per localization).

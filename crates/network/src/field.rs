@@ -11,7 +11,6 @@ use wsn_geometry::{Point, Rect};
 /// ones downstream (they land in the paper's `N̄_r` set and are filled in by
 /// the fault-tolerance rule, eq. 6).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorField {
     deployment: Deployment,
     sensing_range: f64,

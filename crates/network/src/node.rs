@@ -10,7 +10,6 @@ use wsn_geometry::Point;
 /// them dense (`0..n`) and sorted everywhere so the pair enumeration of
 /// [`crate::pairs`] is canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -29,7 +28,6 @@ impl fmt::Display for NodeId {
 
 /// A deployed sensor: identity plus position.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorNode {
     /// Node identifier (dense, equals its index in the deployment).
     pub id: NodeId,

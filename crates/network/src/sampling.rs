@@ -16,7 +16,6 @@ use wsn_telemetry as telemetry;
 /// The `k × n` matrix of one grouping sampling. Row = time instant,
 /// column = node (in ID order); `None` marks a missing reading.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroupSampling {
     nodes: usize,
     instants: usize,
@@ -129,7 +128,6 @@ impl GroupSampling {
 
 /// How per-reading noise is drawn.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SamplerNoise {
     /// Eq. 1's log-normal shadowing: Gaussian with the model's σ (the
     /// physical default).
@@ -147,7 +145,6 @@ pub enum SamplerNoise {
 /// Draws grouping samplings from a [`SensorField`] under a radio and fault
 /// model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroupSampler {
     /// Radio model generating the RSS readings.
     pub model: PathLossModel,

@@ -1,7 +1,6 @@
 //! A small text format for fault-regime schedules and uplink settings.
 //!
-//! The offline build vendors `serde` as a compile-only stub, so config
-//! files go through this hand-rolled parser instead — and, per the same
+//! Config files go through this hand-rolled parser — and, per the same
 //! rule the constructors enforce, every value is range-checked **at parse
 //! time**: a `node_failure=1.5` or a negative deadline is rejected with a
 //! line-numbered error before anything touches the data path.

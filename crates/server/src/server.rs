@@ -1112,7 +1112,9 @@ fn flight_dump(
         ok = false;
     }
     let metrics_path = flight.dir.join(format!("{stem}.metrics.json"));
-    if let Err(e) = wsn_telemetry::write_file_atomic(&metrics_path, snap.to_json().as_bytes()) {
+    if let Err(e) =
+        wsn_telemetry::write_file_atomic(&metrics_path, snap.to_json_value().to_pretty().as_bytes())
+    {
         eprintln!("flight recorder: {e}");
         ok = false;
     }

@@ -17,7 +17,6 @@ pub const MIN_DISTANCE: f64 = 0.01;
 /// The radio model of paper eq. (1):
 /// `PL(d) = PL(d0) + A − 10·β·log10(d/d0) + X`, `X ~ N(0, σ²)`, `d0 = 1 m`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathLossModel {
     /// Measured path loss at the reference distance `d0 = 1 m`, in dBm.
     pub pl_d0: f64,

@@ -1,8 +1,8 @@
-//! Snapshot exporters: hand-formatted JSON and Prometheus text exposition.
+//! Snapshot exporters: a JSON document and Prometheus text exposition.
 //!
-//! Both are written by hand (no serde) so the crate stays dependency-free;
-//! the JSON shape is stable and embedded verbatim inside the repo's
-//! `BENCH_core.json` / `BENCH_robustness.json` artifacts.
+//! Both are dependency-free; the JSON document is embedded under
+//! `"metrics"` in the repo's `BENCH_core.json` / `BENCH_robustness.json`
+//! artifacts and written by the one [`JsonValue`] writer.
 
 use crate::json::JsonValue;
 use crate::registry::{HistogramSnapshot, Snapshot};
@@ -84,54 +84,36 @@ fn claim_family(
 }
 
 impl Snapshot {
-    /// The snapshot as pretty-printed JSON (two-space indent, sorted keys,
-    /// no trailing newline).
-    pub fn to_json(&self) -> String {
-        self.to_json_indented("")
-    }
-
-    /// Like [`Snapshot::to_json`], with every line after the first prefixed
-    /// by `base` — for embedding inside a larger hand-formatted JSON
-    /// document at `base` indentation.
-    pub fn to_json_indented(&self, base: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let counters: Vec<String> = self
+    /// The snapshot as a JSON document: `counters`, `gauges` and
+    /// `histograms` objects keyed by metric name, each histogram carrying
+    /// its `bounds`, per-bucket `counts` (overflow last), `count` and
+    /// `sum`. Counts are JSON numbers, exact below 2⁵³.
+    /// [`Snapshot::from_json_value`] reads it back.
+    pub fn to_json_value(&self) -> JsonValue {
+        let counters = self
             .counters
             .iter()
-            .map(|(k, v)| format!("{base}    {}: {v}", json_str(k)))
-            .collect();
-        let _ = write!(out, "{base}  \"counters\": ");
-        push_block(&mut out, base, &counters);
-        out.push_str(",\n");
-        let gauges: Vec<String> = self
+            .map(|(k, v)| (k.as_str(), JsonValue::Num(*v as f64)));
+        let gauges = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("{base}    {}: {}", json_str(k), json_f64(*v)))
-            .collect();
-        let _ = write!(out, "{base}  \"gauges\": ");
-        push_block(&mut out, base, &gauges);
-        out.push_str(",\n");
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
-                let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-                format!(
-                    "{base}    {}: {{ \"bounds\": [{}], \"counts\": [{}], \"count\": {}, \"sum\": {} }}",
-                    json_str(k),
-                    bounds.join(", "),
-                    counts.join(", "),
-                    h.count,
-                    json_f64(h.sum),
-                )
-            })
-            .collect();
-        let _ = write!(out, "{base}  \"histograms\": ");
-        push_block(&mut out, base, &histograms);
-        let _ = write!(out, "\n{base}}}");
-        out
+            .map(|(k, v)| (k.as_str(), JsonValue::Num(*v)));
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let bounds = h.bounds.iter().map(|b| JsonValue::Num(*b)).collect();
+            let counts = h.counts.iter().map(|c| JsonValue::Num(*c as f64)).collect();
+            let hist = JsonValue::object([
+                ("bounds", JsonValue::Arr(bounds)),
+                ("counts", JsonValue::Arr(counts)),
+                ("count", JsonValue::Num(h.count as f64)),
+                ("sum", JsonValue::Num(h.sum)),
+            ]);
+            (k.as_str(), hist)
+        });
+        JsonValue::object([
+            ("counters", JsonValue::object(counters)),
+            ("gauges", JsonValue::object(gauges)),
+            ("histograms", JsonValue::object(histograms)),
+        ])
     }
 
     /// The snapshot in the Prometheus text exposition format (version
@@ -388,10 +370,10 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, (usize, String)> {
 }
 
 impl Snapshot {
-    /// Parses a snapshot back from its [`Snapshot::to_json`] form — the
+    /// Parses a snapshot back from its [`Snapshot::to_json_value`] form — the
     /// inverse the multi-process campaign merge path needs: each shard
     /// exports its snapshot to disk, the coordinator re-parses and
-    /// [`Snapshot::merge`]s them.
+    /// [`Snapshot::try_merge`]s them.
     ///
     /// Round-trip contract (covered by tests):
     /// * counters are exact for values < 2⁵³ (JSON numbers are f64; the
@@ -494,17 +476,6 @@ fn f64_or_nan(v: &JsonValue, name: &str) -> Result<f64, String> {
     }
 }
 
-/// Append a `{...}` object body whose entries are pre-rendered lines.
-fn push_block(out: &mut String, base: &str, entries: &[String]) {
-    if entries.is_empty() {
-        out.push_str("{}");
-    } else {
-        out.push_str("{\n");
-        out.push_str(&entries.join(",\n"));
-        let _ = write!(out, "\n{base}  }}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Registry;
@@ -517,40 +488,29 @@ mod tests {
         r.gauge("session.samples_k").set(7.0);
         r.histogram("match.tie_width", &[1.0, 2.0]).observe(1.0);
         r.histogram("match.tie_width", &[1.0, 2.0]).observe(5.0);
-        let json = r.snapshot().to_json();
+        let json = r.snapshot().to_json_value().to_pretty();
         let expected = "{\n\
-                        \x20 \"counters\": {\n\
-                        \x20   \"build.faces\": 3,\n\
-                        \x20   \"match.evaluations\": 12\n\
-                        \x20 },\n\
-                        \x20 \"gauges\": {\n\
-                        \x20   \"session.samples_k\": 7\n\
-                        \x20 },\n\
+                        \x20 \"counters\": { \"build.faces\": 3, \"match.evaluations\": 12 },\n\
+                        \x20 \"gauges\": { \"session.samples_k\": 7 },\n\
                         \x20 \"histograms\": {\n\
-                        \x20   \"match.tie_width\": { \"bounds\": [1, 2], \"counts\": [1, 0, 1], \"count\": 2, \"sum\": 6 }\n\
+                        \x20   \"match.tie_width\": {\n\
+                        \x20     \"bounds\": [1, 2],\n\
+                        \x20     \"count\": 2,\n\
+                        \x20     \"counts\": [1, 0, 1],\n\
+                        \x20     \"sum\": 6\n\
+                        \x20   }\n\
                         \x20 }\n\
-                        }";
+                        }\n";
         assert_eq!(json, expected);
     }
 
     #[test]
     fn json_empty_sections_collapse() {
-        let json = Registry::new().snapshot().to_json();
+        let json = Registry::new().snapshot().to_json_value().to_pretty();
         assert_eq!(
             json,
-            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}"
+            "{ \"counters\": {}, \"gauges\": {}, \"histograms\": {} }\n"
         );
-    }
-
-    #[test]
-    fn json_indented_prefixes_continuation_lines() {
-        let r = Registry::new();
-        r.counter("c").inc();
-        let json = r.snapshot().to_json_indented("  ");
-        for line in json.lines().skip(1) {
-            assert!(line.starts_with("  "), "line {line:?} not indented");
-        }
-        assert!(json.ends_with("  }"));
     }
 
     #[test]
@@ -694,7 +654,7 @@ mod roundtrip_tests {
     #[test]
     fn export_reparse_is_lossless_for_finite_values() {
         let snap = sample();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
+        let back = Snapshot::from_json(&snap.to_json_value().to_pretty()).unwrap();
         assert_eq!(back.counters, snap.counters);
         assert_eq!(back.gauges.len(), snap.gauges.len());
         for (k, v) in &snap.gauges {
@@ -705,10 +665,10 @@ mod roundtrip_tests {
     }
 
     #[test]
-    fn embedded_and_indented_forms_reparse_too() {
+    fn embedded_form_reparses_too() {
         let snap = sample();
-        let embedded = format!("{{\n  \"metrics\": {}\n}}", snap.to_json_indented("  "));
-        let doc = crate::json::JsonValue::parse(&embedded).unwrap();
+        let embedded = crate::json::JsonValue::object([("metrics", snap.to_json_value())]);
+        let doc = crate::json::JsonValue::parse(&embedded.to_pretty()).unwrap();
         let back = Snapshot::from_json_value(doc.get("metrics").unwrap()).unwrap();
         assert_eq!(back.counters, snap.counters);
         assert_eq!(back.histograms, snap.histograms);
@@ -718,7 +678,7 @@ mod roundtrip_tests {
     fn non_finite_gauges_round_trip_to_nan_by_contract() {
         let mut s = Snapshot::default();
         s.gauges.insert("g.inf".into(), f64::INFINITY);
-        let back = Snapshot::from_json(&s.to_json()).unwrap();
+        let back = Snapshot::from_json(&s.to_json_value().to_pretty()).unwrap();
         assert!(back.gauges["g.inf"].is_nan());
     }
 
@@ -736,9 +696,9 @@ mod roundtrip_tests {
         let mut in_memory = a.clone();
         in_memory.try_merge(&b).unwrap();
 
-        let mut reparsed = Snapshot::from_json(&a.to_json()).unwrap();
+        let mut reparsed = Snapshot::from_json(&a.to_json_value().to_pretty()).unwrap();
         reparsed
-            .try_merge(&Snapshot::from_json(&b.to_json()).unwrap())
+            .try_merge(&Snapshot::from_json(&b.to_json_value().to_pretty()).unwrap())
             .unwrap();
 
         assert_eq!(reparsed.counters, in_memory.counters);
@@ -764,9 +724,9 @@ mod roundtrip_tests {
             },
         );
         let in_memory_err = a.clone().try_merge(&c).unwrap_err();
-        let reparsed_err = Snapshot::from_json(&a.to_json())
+        let reparsed_err = Snapshot::from_json(&a.to_json_value().to_pretty())
             .unwrap()
-            .try_merge(&Snapshot::from_json(&c.to_json()).unwrap())
+            .try_merge(&Snapshot::from_json(&c.to_json_value().to_pretty()).unwrap())
             .unwrap_err();
         assert_eq!(in_memory_err, reparsed_err);
     }

@@ -1,12 +1,15 @@
-//! A minimal JSON reader for the suite's own artifacts.
+//! The suite's JSON reader and writer.
 //!
-//! The workspace's vendored `serde_json` is a compile-only stub (offline
-//! container), so anything that needs to *read* JSON back — the
-//! `fttt-sim explain` timeline and the `perf_snapshot --check` regression
-//! gate — parses with this hand-rolled recursive-descent reader instead.
-//! It accepts exactly standard JSON (RFC 8259): objects, arrays, strings
-//! with escapes, numbers, booleans and null. It is not performance-tuned;
-//! the inputs are kilobyte-scale artifacts this repo wrote itself.
+//! The `BENCH_*.json` artifacts, their baselines, campaign shard files and
+//! metrics snapshots are built as a [`JsonValue`] and written by
+//! [`JsonValue::to_pretty`]; the trace exports and the `wsn-serve` ops
+//! bodies still format their JSON by hand. Everything that reads a
+//! document back (`fttt-sim explain`, the bench regression gate, the shard
+//! merge) parses with [`JsonValue::parse`], a hand-rolled recursive-descent
+//! reader. It accepts exactly standard JSON (RFC 8259): objects, arrays,
+//! strings with escapes, numbers, booleans and null. It is not
+//! performance-tuned; the inputs are kilobyte-scale artifacts this repo
+//! wrote itself.
 
 use std::collections::BTreeMap;
 
@@ -109,7 +112,126 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// An object from `(key, value)` pairs (later duplicates win).
+    pub fn object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The document as written to a file: two-space indent, keys in
+    /// sorted order, a trailing newline. An array of scalars stays on one
+    /// line, and so does an object of at most six scalars, so a bench
+    /// row reads as one line. Numbers go through
+    /// [`format_f64`], strings through [`format_str`].
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, "");
+        out.push('\n');
+        out
+    }
+
+    fn is_flat(&self) -> bool {
+        let leaf = |v: &JsonValue| match v {
+            JsonValue::Arr(items) => items.is_empty(),
+            JsonValue::Obj(map) => map.is_empty(),
+            _ => true,
+        };
+        match self {
+            JsonValue::Arr(items) => items.iter().all(leaf),
+            JsonValue::Obj(map) => map.len() <= INLINE_MEMBERS && map.values().all(leaf),
+            _ => true,
+        }
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: &str) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &JsonValue)>) = match self {
+            JsonValue::Null => return out.push_str("null"),
+            JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(v) => return out.push_str(&format_f64(*v)),
+            JsonValue::Str(s) => return out.push_str(&format_str(s)),
+            JsonValue::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            JsonValue::Obj(map) => (
+                '{',
+                '}',
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        if members.is_empty() {
+            out.push(open);
+            out.push(close);
+            return;
+        }
+        let inner = format!("{indent}  ");
+        // One line reads `{ "a": 1, "b": 2 }` or `[1, 2]`.
+        let (first, sep, last) = if self.is_flat() {
+            let pad = if open == '{' { " " } else { "" };
+            (pad.to_string(), ", ".to_string(), pad.to_string())
+        } else {
+            (
+                format!("\n{inner}"),
+                format!(",\n{inner}"),
+                format!("\n{indent}"),
+            )
+        };
+        out.push(open);
+        out.push_str(&first);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(&sep);
+            }
+            if let Some(key) = key {
+                out.push_str(&format_str(key));
+                out.push_str(": ");
+            }
+            value.write_pretty(out, &inner);
+        }
+        out.push_str(&last);
+        out.push(close);
+    }
 }
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Num(v)
+    }
+}
+
+/// Counts ride as JSON numbers, exact below 2⁵³. There is no `From<u64>`
+/// on purpose: a full-range `u64` (a seed, a digest) belongs in a hex
+/// string, and a `u64` count says `Num(v as f64)` where it is written.
+impl From<usize> for JsonValue {
+    fn from(v: usize) -> Self {
+        JsonValue::Num(v as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::Str(v)
+    }
+}
+
+impl From<Vec<JsonValue>> for JsonValue {
+    fn from(v: Vec<JsonValue>) -> Self {
+        JsonValue::Arr(v)
+    }
+}
+
+/// The most members an object of scalars may have and still be written
+/// on one line: a bench row's five fit, a metrics block does not.
+const INLINE_MEMBERS: usize = 6;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -369,7 +491,7 @@ mod tests {
         r.gauge("fttt.session.samples_k").set(7.5);
         r.histogram("fttt.match.tie_width", &[1.0, 2.0])
             .observe(1.0);
-        let doc = JsonValue::parse(&r.snapshot().to_json()).unwrap();
+        let doc = JsonValue::parse(&r.snapshot().to_json_value().to_pretty()).unwrap();
         assert_eq!(
             doc.get("counters")
                 .and_then(|c| c.get("fttt.match.evaluations"))
@@ -387,6 +509,60 @@ mod tests {
             .and_then(|h| h.get("fttt.match.tie_width"))
             .unwrap();
         assert_eq!(h.get("count").and_then(JsonValue::as_u64), Some(1));
+    }
+
+    #[test]
+    fn writer_golden_output() {
+        let doc = JsonValue::object([
+            ("bench", JsonValue::from("demo")),
+            ("empty", JsonValue::object::<&str>([])),
+            (
+                "rows",
+                JsonValue::from(vec![
+                    JsonValue::object([("value", JsonValue::from(1.5)), ("n", 10usize.into())]),
+                    JsonValue::object([("value", JsonValue::Num(f64::NAN))]),
+                ]),
+            ),
+            ("tags", vec![JsonValue::from("a\"b"), true.into()].into()),
+        ]);
+        let expected = "{\n\
+                        \x20 \"bench\": \"demo\",\n\
+                        \x20 \"empty\": {},\n\
+                        \x20 \"rows\": [\n\
+                        \x20   { \"n\": 10, \"value\": 1.5 },\n\
+                        \x20   { \"value\": null }\n\
+                        \x20 ],\n\
+                        \x20 \"tags\": [\"a\\\"b\", true]\n\
+                        }\n";
+        assert_eq!(doc.to_pretty(), expected);
+    }
+
+    /// Writer → reader is lossless for every finite float and for any
+    /// nesting the writer lays out flat or expanded.
+    #[test]
+    fn writer_round_trips_through_the_reader() {
+        let floats = [0.1 + 0.2, 1e-308, -0.0, 1407.275, 2.0f64.powi(53) - 1.0];
+        let doc = JsonValue::object([
+            (
+                "floats",
+                floats
+                    .iter()
+                    .map(|v| JsonValue::from(*v))
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+            (
+                "nested",
+                JsonValue::object([("inner", JsonValue::object([("x", JsonValue::Null)]))]),
+            ),
+            ("s", "tab\there\u{1}".into()),
+        ]);
+        let back = JsonValue::parse(&doc.to_pretty()).unwrap();
+        assert_eq!(back, doc);
+        let got = back.get("floats").and_then(JsonValue::as_array).unwrap();
+        for (g, want) in got.iter().zip(floats) {
+            assert_eq!(g.as_f64().unwrap().to_bits(), want.to_bits());
+        }
     }
 
     #[test]

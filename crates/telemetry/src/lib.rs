@@ -31,12 +31,13 @@
 //! telemetry::uninstall();
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["demo.events"], 3);
-//! println!("{}", snap.to_json());
+//! println!("{}", snap.to_json_value().to_pretty());
 //! ```
 //!
 //! Snapshots ([`Registry::snapshot`]) are plain data: they merge across
-//! trials ([`Snapshot::try_merge`]) and export as JSON ([`Snapshot::to_json`],
-//! embedded in the `BENCH_*.json` artifacts) or Prometheus text
+//! trials ([`Snapshot::try_merge`]) and export as JSON
+//! ([`Snapshot::to_json_value`], embedded in the `BENCH_*.json` artifacts)
+//! or Prometheus text
 //! ([`Snapshot::to_prometheus`]).
 //!
 //! Alongside the metrics sink lives a second, independent global: the
@@ -44,9 +45,9 @@
 //! typed events (span begin/end with parent ids, instants, round markers)
 //! installed via [`install_journal`] and exported as Chrome trace-event
 //! JSON or JSONL ([`TraceLog`]). Metrics aggregate; the journal keeps the
-//! per-round causal story. The [`json`] module is the matching reader used
-//! by downstream tools (`fttt-sim explain`, the bench regression gate) to
-//! load these artifacts back, since the vendored serde stack cannot parse.
+//! per-round causal story. The [`json`] module is the workspace's one JSON
+//! writer and reader: downstream tools (`fttt-sim explain`, the bench
+//! regression gate) load these artifacts back through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

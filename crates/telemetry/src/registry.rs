@@ -136,7 +136,7 @@ impl HistogramSnapshot {
 }
 
 /// Plain-data copy of a [`Registry`]: mergeable across trials, exportable as
-/// JSON or Prometheus text (see the [`export`](crate::Snapshot::to_json)
+/// JSON or Prometheus text (see the [`export`](crate::Snapshot::to_json_value)
 /// methods).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
