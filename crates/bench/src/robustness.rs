@@ -33,6 +33,19 @@
 //! subcommand print the table, write `BENCH_robustness.json` and fail on
 //! any violation.
 //!
+//! # Execution
+//!
+//! Every trial runs as a *lane* of one runner ([`run_lanes`]), against a
+//! face-map *lineage*. The lanes of one repairing policy — both methods,
+//! every trial — step in lockstep over their shared round grid and share
+//! one lineage: each churn event is repaired once and digested once, and
+//! every lane adopts the repaired map ([`TrackingSession::adopt_churn`]).
+//! All other trials (stale and non-churn) are single lanes whose lineage
+//! never leaves the pristine map, which every lane shares through one
+//! `Arc` — no trial copies the map. The incremental and rebuild lineages
+//! repair independently, so [`check_churn_digests`] still compares two
+//! separately repaired maps at every epoch.
+//!
 //! # Determinism
 //!
 //! The campaign is a pure function of `(master seed, schedule, config)`:
@@ -47,7 +60,7 @@
 //! per-trial stats in `(cell, trial)` order, so single-process and merged
 //! sharded runs produce bit-identical rows and checksums.
 
-use std::cell::RefCell;
+use std::sync::Arc;
 
 use fttt::config::PaperParams;
 use fttt::facemap::{FaceMap, RepairMode};
@@ -56,8 +69,9 @@ use fttt::session::{SessionOptions, SessionRun, TrackStatus, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wsn_network::{GroupSampler, Schedule, SensorField};
-use wsn_parallel::{par_map, seed_for};
+use wsn_mobility::Trace;
+use wsn_network::{GroupSampler, RegimeEngine, Schedule, SensorField};
+use wsn_parallel::{chunk_len, par_map_threads, recommended_threads, seed_for};
 use wsn_telemetry as telemetry;
 use wsn_telemetry::json::JsonValue;
 
@@ -128,6 +142,17 @@ pub enum ChurnPolicy {
     /// Full rebuild per event ([`RepairMode::Rebuild`]) — the reference
     /// trajectory the incremental path must digest-match.
     Rebuild,
+}
+
+impl ChurnPolicy {
+    /// How the policy repairs its map, `None` for [`ChurnPolicy::Stale`].
+    fn repair_mode(self) -> Option<RepairMode> {
+        match self {
+            ChurnPolicy::Stale => None,
+            ChurnPolicy::Incremental => Some(RepairMode::Incremental),
+            ChurnPolicy::Rebuild => Some(RepairMode::Rebuild),
+        }
+    }
 }
 
 /// The churn policies in campaign order, with their regime labels.
@@ -351,112 +376,269 @@ fn campaign_params(cfg: &CampaignConfig) -> PaperParams {
         .with_cell_size(2.0)
 }
 
-/// The per-cell immutable context one trial runs against: the campaign's
-/// shared deployment (the face map is built once per campaign and cloned
-/// per trial — the build is deterministic, so this is purely a time
-/// saver) plus the cell's parsed schedule.
+/// The campaign's immutable context: config, deployment, the cells with
+/// their parsed schedules, and the pristine face map. The map is built
+/// once per campaign and shared through one `Arc` — the build is
+/// deterministic, so this is purely a time and memory saver. No trial
+/// copies it: a repairing [lineage](run_lanes) builds each epoch beside
+/// the last and shares it among its lanes the same way.
 struct TrialEnv<'a> {
+    cfg: &'a CampaignConfig,
     params: &'a PaperParams,
     field: &'a SensorField,
-    map: &'a FaceMap,
-    schedule: &'a Schedule,
-    duration: f64,
+    map: &'a Arc<FaceMap>,
+    cells: &'a [CellSpec],
+    schedules: &'a [Schedule],
 }
 
-/// Runs one seeded session trial, returning the run plus its replay
-/// digest; `session_id` must be the trial's stable id.
+/// Builds the campaign context for `kind` and hands it to `f`.
 ///
-/// For churn cells (`churn` is `Some`), the schedule's churn events are
-/// applied between rounds at their simulation times: repairing policies
-/// call [`TrackingSession::apply_churn`] and fold the post-repair map
-/// epoch and [`digest_face_map`] into the world digest, so the digest
-/// pins not just what the session saw but the exact map it matched
-/// against after every repair. The stale policy applies nothing — the
-/// regime still silences the dead columns, but the map (and the digest)
-/// never move.
-fn run_session_trial(
-    env: &TrialEnv<'_>,
-    extended: bool,
-    churn: Option<ChurnPolicy>,
-    seed: u64,
-    session_id: u64,
-) -> (SessionRun, u64) {
-    let TrialEnv {
-        params,
-        field,
-        map,
-        schedule,
-        duration,
-    } = *env;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Grid deployment: the campaign compares fault regimes, so the
-    // geometry is held fixed and only noise/faults vary per trial.
-    let trace = params.random_trace(duration, &mut rng);
-    let options = if extended {
-        TrackerOptions {
-            extended: true,
-            ..TrackerOptions::heuristic()
-        }
-    } else {
-        TrackerOptions::heuristic()
-    };
-    let session_options = SessionOptions::new(params.samples_k).with_max_speed(params.max_speed);
-    let mut session = TrackingSession::new(Tracker::new(map.clone(), options), session_options)
-        .with_session_id(session_id);
-    // The engine and world digest are shared between the sampling closure
-    // and the between-rounds churn closure; the two never run
-    // concurrently, so runtime borrows are safe.
-    let engine = RefCell::new(schedule.engine(field.len()));
-    let base = params.sampler();
-    let world = RefCell::new(Digest::new());
-    let mut prev_t: Option<f64> = None;
-    let run = session.run_with(
-        &trace,
-        &mut rng,
-        |k, pos, t, r| {
-            let sampler = GroupSampler {
-                samples: k,
-                ..base.clone()
-            };
-            let mut g = sampler.sample(field, pos, r);
-            let mut engine = engine.borrow_mut();
-            engine.apply(t, &mut g, r);
-            digest_world(&mut world.borrow_mut(), &engine, &g);
-            g
-        },
-        |s, t| {
-            let Some(policy) = churn else { return };
-            let events = engine.borrow().churn_events_between(prev_t, t);
-            prev_t = Some(t);
-            let mode = match policy {
-                ChurnPolicy::Stale => None,
-                ChurnPolicy::Incremental => Some(RepairMode::Incremental),
-                ChurnPolicy::Rebuild => Some(RepairMode::Rebuild),
-            };
-            for e in events {
-                let Some(mode) = mode else { continue };
-                let report = s.apply_churn(t, e.node, e.death, mode);
-                let mut w = world.borrow_mut();
-                w.write_u64(report.epoch);
-                w.write_u64(digest_face_map(s.tracker().map()));
-            }
-        },
-    );
-    let mut digest = Digest::new();
-    digest.write_u64(seed);
-    digest.write_digest(world.into_inner());
-    fttt::replay::digest_run(&mut digest, &run);
-    (run, digest.value())
+/// # Panics
+///
+/// Panics if a cell's schedule fails to parse.
+fn with_env<R>(cfg: &CampaignConfig, kind: &CampaignKind, f: impl FnOnce(&TrialEnv) -> R) -> R {
+    let params = campaign_params(cfg);
+    let field = params.grid_field();
+    let map = Arc::new(params.face_map(&field));
+    let cells = campaign_cells(kind);
+    let schedules: Vec<Schedule> = cells
+        .iter()
+        .map(|c| Schedule::parse(&c.schedule_text).expect("cell schedule is valid"))
+        .collect();
+    f(&TrialEnv {
+        cfg,
+        params: &params,
+        field: &field,
+        map: &map,
+        cells: &cells,
+        schedules: &schedules,
+    })
 }
 
+/// One trial, run as a lane of [`run_lanes`]: a stable-id session over
+/// the lineage's map, its own RNG stream, trace and regime engine, and
+/// the world digest its rounds and adopted repairs fold into.
+struct Lane<'a> {
+    cell: &'a CellSpec,
+    trial: u64,
+    seed: u64,
+    rng: ChaCha8Rng,
+    trace: Trace,
+    session: TrackingSession,
+    engine: RegimeEngine,
+    world: Digest,
+    run: SessionRun,
+}
+
+impl<'a> Lane<'a> {
+    fn new(env: &TrialEnv<'a>, cell: usize, trial: u64) -> Self {
+        let cell = &env.cells[cell];
+        let params = env.params;
+        let seed = seed_for(env.cfg.seed, trial);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Grid deployment: the campaign compares fault regimes, so the
+        // geometry is held fixed and only noise/faults vary per trial.
+        let trace = params.random_trace(env.cfg.duration, &mut rng);
+        let options = TrackerOptions {
+            extended: cell.extended,
+            ..TrackerOptions::heuristic()
+        };
+        let session_options =
+            SessionOptions::new(params.samples_k).with_max_speed(params.max_speed);
+        // The epoch folded into the id is the map's at session start —
+        // always the pristine build here, but a harness that re-runs a
+        // trial against an already-churned map keys differently.
+        let session_id = fttt::replay::stable_session_id(
+            &cell.regime,
+            cell.method,
+            cell.fault_rate,
+            trial,
+            env.map.epoch(),
+        );
+        let session = TrackingSession::new(
+            Tracker::shared(Arc::clone(env.map), options),
+            session_options,
+        )
+        .with_session_id(session_id);
+        Self {
+            cell,
+            trial,
+            seed,
+            rng,
+            run: SessionRun {
+                rounds: Vec::with_capacity(trace.len()),
+                errors: Vec::with_capacity(trace.len()),
+            },
+            trace,
+            session,
+            engine: env.schedules[cell.index].engine(env.field.len()),
+            world: Digest::new(),
+        }
+    }
+
+    /// Samples and steps round `r`, folding the delivered grouping and
+    /// the regime state into the world digest.
+    fn step(&mut self, field: &SensorField, base: &GroupSampler, r: usize) {
+        let p = self.trace.points()[r];
+        let sampler = GroupSampler {
+            samples: self.session.requested_samples(),
+            ..base.clone()
+        };
+        let mut g = sampler.sample(field, p.pos, &mut self.rng);
+        self.engine.apply(p.t, &mut g, &mut self.rng);
+        digest_world(&mut self.world, &self.engine, &g);
+        let round = self.session.step(p.t, &g);
+        self.run.errors.push(round.estimate.distance(p.pos));
+        self.run.rounds.push(round);
+    }
+
+    /// The finished trial's record (journaled as `fttt.campaign.trial`).
+    fn finish(self) -> TrialStat {
+        let session = self.session.session_id();
+        let stat = trial_stat_of(
+            self.cell, self.trial, self.seed, session, self.world, &self.run,
+        );
+        journal_trial(self.cell, &stat);
+        stat
+    }
+}
+
+/// Runs `lanes` — `(cell, trial)` pairs — in lockstep over their shared
+/// round grid against one face-map *lineage*, returning one
+/// [`TrialStat`] per lane in input order.
+///
+/// With a `mode`, the lineage follows the churn schedule its lanes share:
+/// before the round at time `t`, each churn event since the previous
+/// round is repaired **once** ([`FaceMap::repaired`] builds the next
+/// epoch beside the current one, which the lanes still hold, without
+/// copying it) and digested once, and every lane adopts the result
+/// ([`TrackingSession::adopt_churn`]) and folds the new epoch and map
+/// digest into its world digest. That is exactly what a private
+/// [`TrackingSession::apply_churn`] per lane would do, since the repair
+/// is deterministic. Without a mode (stale and non-churn lanes) the
+/// lineage never leaves the pristine map: the regime still silences dead
+/// columns, but the map and the digest never move.
+fn run_lanes(
+    env: &TrialEnv<'_>,
+    mode: Option<RepairMode>,
+    lanes: &[(usize, u64)],
+) -> Vec<TrialStat> {
+    let mut lanes: Vec<Lane<'_>> = lanes
+        .iter()
+        .map(|&(cell, trial)| Lane::new(env, cell, trial))
+        .collect();
+    let rounds = lanes.first().map_or(0, |l| l.trace.len());
+    assert!(
+        lanes.iter().all(|l| l.trace.len() == rounds),
+        "lanes must share one round grid"
+    );
+    // Churn events are a pure function of the schedule, which all lanes
+    // of a repairing lineage share.
+    debug_assert!(
+        mode.is_none()
+            || lanes
+                .iter()
+                .all(|l| l.cell.schedule_text == lanes[0].cell.schedule_text)
+    );
+    let base = env.params.sampler();
+    let mut map = Arc::clone(env.map);
+    let mut prev_t = None;
+    for r in 0..rounds {
+        let t = lanes[0].trace.points()[r].t;
+        if let Some(mode) = mode {
+            let events = lanes[0].engine.churn_events_between(prev_t, t);
+            prev_t = Some(t);
+            for e in events {
+                let previous = Arc::downgrade(&map);
+                let (next, report) = map.repaired(e.node, e.death, mode);
+                map = Arc::new(next);
+                let digest = digest_face_map(&map);
+                for lane in &mut lanes {
+                    lane.session.adopt_churn(t, Arc::clone(&map), &report);
+                    lane.world.write_u64(report.epoch);
+                    lane.world.write_u64(digest);
+                }
+                // At most one repaired map per lineage stays resident:
+                // once every lane holds the new epoch, the previous one
+                // is freed (unless it is the campaign's pristine map).
+                debug_assert!(
+                    previous.strong_count() == 0 || previous.as_ptr() == Arc::as_ptr(env.map)
+                );
+            }
+        }
+        for lane in &mut lanes {
+            debug_assert_eq!(lane.trace.points()[r].t, t, "lanes out of lockstep");
+            lane.step(env.field, &base, r);
+        }
+    }
+    lanes.into_iter().map(Lane::finish).collect()
+}
+
+/// One job of the campaign's parallel map: the lanes of one lineage.
+struct Job {
+    mode: Option<RepairMode>,
+    lanes: Vec<(usize, u64)>,
+}
+
+/// The campaign's jobs for the trial subset `trials` of every cell: one
+/// lineage job per repairing [`ChurnPolicy`] holding all of its lanes
+/// (both methods), and one single-lane job per other trial.
+///
+/// The lineage jobs are the heavy ones, so they go first — the longest
+/// jobs bound the makespan — and a chunk apart, a chunk being
+/// [`chunk_len`] jobs, what a worker of [`par_map_threads`] over
+/// `threads` claims at once, so no worker claims two of them together.
+fn campaign_jobs(cells: &[CellSpec], trials: &[u64], threads: usize) -> Vec<Job> {
+    let mode_of = |c: &CellSpec| churn_policy_of(&c.regime).and_then(ChurnPolicy::repair_mode);
+    let lineages: Vec<Job> = [RepairMode::Incremental, RepairMode::Rebuild]
+        .into_iter()
+        .map(|mode| Job {
+            mode: Some(mode),
+            lanes: cells
+                .iter()
+                .filter(|c| mode_of(c) == Some(mode))
+                .flat_map(|c| trials.iter().map(|&t| (c.index, t)))
+                .collect(),
+        })
+        .filter(|job| !job.lanes.is_empty())
+        .collect();
+    let singles: Vec<Job> = cells
+        .iter()
+        .filter(|c| mode_of(c).is_none())
+        .flat_map(|c| {
+            trials.iter().map(|&t| Job {
+                mode: None,
+                lanes: vec![(c.index, t)],
+            })
+        })
+        .collect();
+    let total = lineages.len() + singles.len();
+    let chunk = chunk_len(threads, total);
+    let mut singles = singles.into_iter();
+    let mut jobs = Vec::with_capacity(total);
+    for lineage in lineages {
+        jobs.push(lineage);
+        jobs.extend(singles.by_ref().take(chunk - 1));
+    }
+    jobs.extend(singles);
+    jobs
+}
+
+/// A finished trial's record. Its replay digest folds the seed, the
+/// world digest (per-round groupings and regime state, plus the epoch and
+/// [`digest_face_map`] of every map the trial adopted), then the run.
 fn trial_stat_of(
     cell: &CellSpec,
     trial: u64,
     seed: u64,
     session: u64,
+    world: Digest,
     run: &SessionRun,
-    digest: u64,
 ) -> TrialStat {
+    let mut digest = Digest::new();
+    digest.write_u64(seed);
+    digest.write_digest(world);
+    fttt::replay::digest_run(&mut digest, run);
     TrialStat {
         cell: cell.index,
         trial,
@@ -468,7 +650,7 @@ fn trial_stat_of(
         degraded_rounds: run.rounds_in(TrackStatus::Degraded) as u64,
         recovered: run.recovered_from_lost(),
         total_samples: run.total_samples() as u64,
-        digest,
+        digest: digest.value(),
     }
 }
 
@@ -504,50 +686,27 @@ pub fn run_campaign_stats(
         shards > 0 && shard_id < shards,
         "shard {shard_id}/{shards} out of range"
     );
-    let params = campaign_params(cfg);
-    let field = params.grid_field();
-    let map = params.face_map(&field);
-    let map_digest = fttt::replay::digest_face_map(&map);
-    let cells = campaign_cells(kind);
-    journal_header(cfg, kind, &cells, map_digest);
-    let mut stats = Vec::with_capacity(cells.len() * cfg.trials.div_ceil(shards));
-    for cell in &cells {
-        let schedule = Schedule::parse(&cell.schedule_text).expect("cell schedule is valid");
-        let churn = churn_policy_of(&cell.regime);
-        let env = TrialEnv {
-            params: &params,
-            field: &field,
-            map: &map,
-            schedule: &schedule,
-            duration: cfg.duration,
-        };
-        let idx: Vec<u64> = (0..cfg.trials as u64)
+    with_env(cfg, kind, |env| {
+        let map_digest = digest_face_map(env.map);
+        journal_header(cfg, kind, env.cells, map_digest);
+        let trials: Vec<u64> = (0..cfg.trials as u64)
             .filter(|i| *i as usize % shards == shard_id)
             .collect();
-        let cell_stats: Vec<TrialStat> = par_map(&idx, |_, &i| {
-            let seed = seed_for(cfg.seed, i);
-            // The epoch folded into the id is the map's at session start —
-            // always the pristine build here, but a harness that re-runs
-            // a trial against an already-churned map keys differently.
-            let session = fttt::replay::stable_session_id(
-                &cell.regime,
-                cell.method,
-                cell.fault_rate,
-                i,
-                map.epoch(),
-            );
-            let (run, digest) = run_session_trial(&env, cell.extended, churn, seed, session);
-            let stat = trial_stat_of(cell, i, seed, session, &run, digest);
-            journal_trial(cell, &stat);
-            stat
-        });
-        stats.extend(cell_stats);
-    }
-    CampaignStats {
-        cells,
-        stats,
-        map_digest,
-    }
+        let threads = recommended_threads();
+        let jobs = campaign_jobs(env.cells, &trials, threads);
+        let mut stats: Vec<TrialStat> = par_map_threads(threads, &jobs, |_, job| {
+            run_lanes(env, job.mode, &job.lanes)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        stats.sort_by_key(|s| (s.cell, s.trial));
+        CampaignStats {
+            cells: env.cells.to_vec(),
+            stats,
+            map_digest,
+        }
+    })
 }
 
 /// Emits the `fttt.campaign.header` journal event: everything a replay
@@ -1109,69 +1268,186 @@ mod tests {
         }
     }
 
+    /// The per-trial reference the lineage runner must reproduce: one
+    /// session per trial over a private copy of the map, every churn
+    /// event repaired by that session's own
+    /// [`TrackingSession::apply_churn`].
+    fn reference_trial(env: &TrialEnv<'_>, cell: &CellSpec, trial: u64) -> TrialStat {
+        let params = env.params;
+        let seed = seed_for(env.cfg.seed, trial);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let trace = params.random_trace(env.cfg.duration, &mut rng);
+        let options = TrackerOptions {
+            extended: cell.extended,
+            ..TrackerOptions::heuristic()
+        };
+        let session_id = fttt::replay::stable_session_id(
+            &cell.regime,
+            cell.method,
+            cell.fault_rate,
+            trial,
+            env.map.epoch(),
+        );
+        let mut session = TrackingSession::new(
+            Tracker::new(FaceMap::clone(env.map), options),
+            SessionOptions::new(params.samples_k).with_max_speed(params.max_speed),
+        )
+        .with_session_id(session_id);
+        let mode = churn_policy_of(&cell.regime).and_then(ChurnPolicy::repair_mode);
+        // The sampling closure and the between-rounds churn closure never
+        // run concurrently, so runtime borrows are safe.
+        let engine = std::cell::RefCell::new(env.schedules[cell.index].engine(env.field.len()));
+        let world = std::cell::RefCell::new(Digest::new());
+        let base = params.sampler();
+        let mut prev_t = None;
+        let run = session.run_with(
+            &trace,
+            &mut rng,
+            |k, pos, t, r| {
+                let sampler = GroupSampler {
+                    samples: k,
+                    ..base.clone()
+                };
+                let mut g = sampler.sample(env.field, pos, r);
+                let mut engine = engine.borrow_mut();
+                engine.apply(t, &mut g, r);
+                digest_world(&mut world.borrow_mut(), &engine, &g);
+                g
+            },
+            |s, t| {
+                let Some(mode) = mode else { return };
+                let events = engine.borrow().churn_events_between(prev_t, t);
+                prev_t = Some(t);
+                for e in events {
+                    let report = s.apply_churn(t, e.node, e.death, mode);
+                    let mut w = world.borrow_mut();
+                    w.write_u64(report.epoch);
+                    w.write_u64(digest_face_map(s.tracker().map()));
+                }
+            },
+        );
+        trial_stat_of(cell, trial, seed, session_id, world.into_inner(), &run)
+    }
+
     #[test]
     fn single_trial_cell_is_deterministic() {
-        let cfg = CampaignConfig {
-            seed: 9,
-            trials: 1,
-            duration: 5.0,
-            nodes: 8,
+        let kind = CampaignKind::Custom {
+            label: "one".into(),
+            schedule: "static node_failure=0.3".into(),
         };
-        let params = campaign_params(&cfg);
-        let field = params.grid_field();
-        let map = params.face_map(&field);
-        let schedule = Schedule::parse("static node_failure=0.3").unwrap();
-        let env = TrialEnv {
-            params: &params,
-            field: &field,
-            map: &map,
-            schedule: &schedule,
-            duration: cfg.duration,
+        let run = |seed| {
+            let cfg = CampaignConfig {
+                seed,
+                trials: 1,
+                duration: 5.0,
+                nodes: 8,
+            };
+            with_env(&cfg, &kind, |env| run_lanes(env, None, &[(0, 0)]))
         };
-        let a = run_session_trial(&env, false, None, 123, 1);
-        let b = run_session_trial(&env, false, None, 123, 1);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1, "trial digests must agree");
+        let a = run(9);
+        assert_eq!(a, run(9), "trial records and digests must agree");
         // A different seed must move the digest.
-        let c = run_session_trial(&env, false, None, 124, 1);
-        assert_ne!(a.1, c.1, "different seed, same digest — digest is blind");
+        assert_ne!(
+            a[0].digest,
+            run(10)[0].digest,
+            "different seed, same digest — digest is blind"
+        );
+    }
+
+    /// The lineage runner against the per-trial reference: every trial of
+    /// the fast churn campaign — stale, incremental and rebuild, both
+    /// methods — must give the same record, digest included, as a private
+    /// session repairing its own map.
+    #[test]
+    fn lineage_runner_matches_per_trial_reference() {
+        let cfg = CampaignConfig::fast(42);
+        let cs = run_campaign_stats(&cfg, &CampaignKind::Churn, 1, 0);
+        assert_eq!(cs.stats.len(), cs.cells.len() * cfg.trials);
+        assert!(check_churn_digests(&cs.cells, &cs.stats).is_empty());
+        with_env(&cfg, &CampaignKind::Churn, |env| {
+            for stat in &cs.stats {
+                let cell = &cs.cells[stat.cell];
+                assert_eq!(
+                    &reference_trial(env, cell, stat.trial),
+                    stat,
+                    "{}/{} trial {}",
+                    cell.regime,
+                    cell.method,
+                    stat.trial
+                );
+            }
+        });
+    }
+
+    /// Lineage jobs lead, one per chunk, and every trial lands in exactly
+    /// one job.
+    #[test]
+    fn lineage_jobs_are_spread_one_per_chunk() {
+        let cells = campaign_cells(&CampaignKind::Builtin);
+        let trials: Vec<u64> = (0..6).collect();
+        let jobs = campaign_jobs(&cells, &trials, 2);
+        let chunk = chunk_len(2, jobs.len());
+        assert!(chunk > 1, "the builtin campaign spans multi-job chunks");
+        let heavy: Vec<usize> = (0..jobs.len())
+            .filter(|&i| jobs[i].mode.is_some())
+            .collect();
+        assert_eq!(heavy, vec![0, chunk]);
+        for &i in &heavy {
+            assert_eq!(jobs[i].lanes.len(), 2 * trials.len(), "both methods");
+        }
+        let mut lanes: Vec<(usize, u64)> = jobs.iter().flat_map(|j| j.lanes.clone()).collect();
+        lanes.sort_unstable();
+        let all: Vec<(usize, u64)> = cells
+            .iter()
+            .flat_map(|c| trials.iter().map(move |&t| (c.index, t)))
+            .collect();
+        assert_eq!(lanes, all);
     }
 
     /// The sharding invariant, in miniature: running the trials of every
     /// cell split across 3 "shards" and merging must reproduce the
-    /// single-process rows bit-for-bit and the same campaign checksum.
+    /// single-process rows bit-for-bit and the same campaign checksum —
+    /// for a static schedule and for the churn family, whose lineages
+    /// each shard repairs on its own.
     #[test]
     fn sharded_stats_merge_to_identical_rows_and_checksum() {
-        let cfg = CampaignConfig {
+        let mini = CampaignConfig {
             seed: 5,
             trials: 3,
             duration: 4.0,
             nodes: 8,
         };
-        let kind = CampaignKind::Custom {
+        let custom = CampaignKind::Custom {
             label: "mini".into(),
             schedule: "static node_failure=0.2".into(),
         };
-        let single = run_campaign_stats(&cfg, &kind, 1, 0);
-        let mut merged: Vec<TrialStat> = Vec::new();
-        let mut map_digests = Vec::new();
-        for shard_id in 0..3 {
-            let part = run_campaign_stats(&cfg, &kind, 3, shard_id);
-            assert_eq!(part.cells, single.cells);
-            map_digests.push(part.map_digest);
-            merged.extend(part.stats);
-        }
-        assert!(map_digests.iter().all(|d| *d == single.map_digest));
-        // Shards see disjoint trial subsets that union to the full set.
-        assert_eq!(merged.len(), single.stats.len());
+        // 20 s covers every death and revival of the churn schedule.
+        let churn = CampaignConfig {
+            duration: 20.0,
+            ..mini
+        };
+        for (cfg, kind) in [(mini, custom), (churn, CampaignKind::Churn)] {
+            let single = run_campaign_stats(&cfg, &kind, 1, 0);
+            let mut merged: Vec<TrialStat> = Vec::new();
+            let mut map_digests = Vec::new();
+            for shard_id in 0..3 {
+                let part = run_campaign_stats(&cfg, &kind, 3, shard_id);
+                assert_eq!(part.cells, single.cells);
+                map_digests.push(part.map_digest);
+                merged.extend(part.stats);
+            }
+            assert!(map_digests.iter().all(|d| *d == single.map_digest));
+            // Shards see disjoint trial subsets that union to the full set.
+            assert_eq!(merged.len(), single.stats.len());
 
-        let rows_single = rows_from_stats(&cfg, &single.cells, &single.stats);
-        let rows_merged = rows_from_stats(&cfg, &single.cells, &merged);
-        assert_eq!(rows_single, rows_merged);
-        assert_eq!(
-            campaign_checksum(&cfg, &single.cells, single.map_digest, &single.stats),
-            campaign_checksum(&cfg, &single.cells, single.map_digest, &merged),
-        );
+            let rows_single = rows_from_stats(&cfg, &single.cells, &single.stats);
+            let rows_merged = rows_from_stats(&cfg, &single.cells, &merged);
+            assert_eq!(rows_single, rows_merged);
+            assert_eq!(
+                campaign_checksum(&cfg, &single.cells, single.map_digest, &single.stats),
+                campaign_checksum(&cfg, &single.cells, single.map_digest, &merged),
+            );
+        }
     }
 
     /// Shard files survive the disk round-trip exactly: stats (floats

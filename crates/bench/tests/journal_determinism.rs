@@ -2,8 +2,9 @@
 //! runs must serialize to byte-identical *canonical* journals, including
 //! when the per-trial work is spread across different
 //! `par_map_threads` widths — the canonical form strips everything
-//! scheduling-dependent (wall-clock, sequence numbers, thread ordinals)
-//! and sorts, so only simulation state is left to compare.
+//! scheduling-dependent (wall-clock timestamps and durations, sequence
+//! numbers, thread ordinals) and sorts, so only simulation state is left
+//! to compare.
 //!
 //! The journal sink is process-global: one `#[test]` drives all phases
 //! sequentially.
@@ -88,6 +89,41 @@ fn identically_seeded_runs_serialize_to_identical_canonical_journals() {
     assert_eq!(
         a, b,
         "identically-seeded campaigns must journal identically"
+    );
+
+    // Phase 1b: the churn family. Lineage jobs interleave their lanes'
+    // rounds and journal one `fttt.map.repair` per session per event;
+    // the repair's wall-clock time stays in the raw journal only.
+    let churn_cfg = CampaignConfig {
+        duration: 20.0,
+        ..cfg
+    };
+    let a = canonical_of(|| {
+        run_campaign_stats(&churn_cfg, &CampaignKind::Churn, 1, 0);
+    });
+    let b = canonical_of(|| {
+        run_campaign_stats(&churn_cfg, &CampaignKind::Churn, 1, 0);
+    });
+    let count = |name: &str| a.lines().filter(|l| l.contains(name)).count();
+    // 2 repairing policies x 2 methods x 2 trials, 6 churn events each.
+    assert_eq!(
+        count("\"fttt.map.repair\""),
+        48,
+        "one repair event per session per churn event:\n{a}"
+    );
+    // ... but one repair per lineage (policy) per event.
+    assert_eq!(
+        count("\"name\":\"fttt.map.repair.total\",\"kind\":\"span_begin\""),
+        12,
+        "each lineage must repair each churn event once:\n{a}"
+    );
+    assert!(
+        !a.contains("repair_us"),
+        "canonical JSONL must not leak repair wall-clock"
+    );
+    assert_eq!(
+        a, b,
+        "identically-seeded churn campaigns must journal identically"
     );
 
     // Phase 2: explicit thread widths. One worker vs four must not move a

@@ -999,7 +999,7 @@ mod tests {
                     ("cells", ArgValue::U64(625)),
                     ("faces_before", ArgValue::U64(841)),
                     ("faces_after", ArgValue::U64(838)),
-                    ("repair_us", ArgValue::F64(480.2)),
+                    ("repair_us", ArgValue::WallUs(480.2)),
                     ("face_remapped", ArgValue::Bool(remapped)),
                 ],
             );

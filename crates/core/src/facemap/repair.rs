@@ -241,7 +241,9 @@ impl FaceMap {
     /// Panics if `node` is outside the deployment, already dead, or if
     /// fewer than two sensors would remain.
     pub fn kill_node(&mut self, node: usize, mode: RepairMode) -> RepairReport {
-        self.repair(node, true, mode)
+        let (map, report) = self.repaired(node, true, mode);
+        *self = map;
+        report
     }
 
     /// Returns deployment node `node` to the map: re-rasterizes its pair
@@ -253,10 +255,21 @@ impl FaceMap {
     ///
     /// Panics if `node` is outside the deployment or already live.
     pub fn revive_node(&mut self, node: usize, mode: RepairMode) -> RepairReport {
-        self.repair(node, false, mode)
+        let (map, report) = self.repaired(node, false, mode);
+        *self = map;
+        report
     }
 
-    fn repair(&mut self, node: usize, death: bool, mode: RepairMode) -> RepairReport {
+    /// The map after one churn event — [`FaceMap::kill_node`] when
+    /// `death`, [`FaceMap::revive_node`] otherwise — built next to this
+    /// one, which is left untouched. Every repair assembles a fresh map
+    /// anyway, so a map shared behind an `Arc` repairs this way without
+    /// being copied first.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaceMap::kill_node`] and [`FaceMap::revive_node`].
+    pub fn repaired(&self, node: usize, death: bool, mode: RepairMode) -> (FaceMap, RepairReport) {
         let _span = telemetry::span("fttt.map.repair.total");
         let start = std::time::Instant::now();
         assert!(
@@ -321,19 +334,15 @@ impl FaceMap {
                 (nf, map.faces[nf as usize].cell_count == of.cell_count)
             })
             .collect();
-        let faces_after = map.faces.len();
-        let epoch = map.epoch;
-        *self = map;
-
         let report = RepairReport {
-            epoch,
+            epoch: map.epoch,
             node,
             death,
             planes_retired: old_dim.saturating_sub(new_dim),
             planes_added: new_dim.saturating_sub(old_dim),
             cells_reclassified,
             faces_before,
-            faces_after,
+            faces_after: map.faces.len(),
             repair_us: start.elapsed().as_secs_f64() * 1e6,
             remap,
         };
@@ -347,7 +356,7 @@ impl FaceMap {
             telemetry::counter_add("fttt.map.repair.cells", report.cells_reclassified as u64);
             telemetry::counter_add("fttt.map.repair.us", report.repair_us.round() as u64);
         }
-        report
+        (map, report)
     }
 
     /// Reference repair: re-rasterize everything from the survivor set

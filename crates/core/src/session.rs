@@ -31,10 +31,11 @@
 //! fault regime — and decays `k` back once rounds run healthy again.
 
 use crate::error::ErrorStats;
-use crate::facemap::{FaceId, RepairMode, RepairReport};
+use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
 use crate::theory::required_sampling_times;
 use crate::tracker::Tracker;
 use rand::Rng;
+use std::sync::Arc;
 use wsn_geometry::Point;
 use wsn_mobility::Trace;
 use wsn_network::{pair_count, GroupSampling};
@@ -527,17 +528,9 @@ impl TrackingSession {
     }
 
     /// Applies one churn event (death when `death`, birth otherwise) at
-    /// simulation time `t`: repairs the tracker's face map, migrates the
-    /// warm start across the epoch bump, restarts the health monitor's
-    /// similarity window (its medians were measured against the old pair
-    /// dimension), and — when the warm-start face did not survive the
-    /// repair exactly — re-enters the recovery ladder at a forced full
-    /// re-acquisition, since the remapped face is a merged/split stand-in
-    /// rather than the face the climb actually matched.
-    ///
-    /// Emits one `fttt.map.repair` journal event (the record `fttt-sim
-    /// explain` renders) with the post-repair epoch hex-encoded like
-    /// every other u64 digest.
+    /// simulation time `t`: repairs the tracker's face map, then migrates
+    /// the session across the epoch bump exactly as
+    /// [`TrackingSession::adopt_churn`] does.
     pub fn apply_churn(
         &mut self,
         t: f64,
@@ -546,6 +539,32 @@ impl TrackingSession {
         mode: RepairMode,
     ) -> RepairReport {
         let (report, warm_exact) = self.tracker.apply_churn(node, death, mode);
+        self.migrate_across_churn(t, &report, warm_exact);
+        report
+    }
+
+    /// Adopts `map`, repaired elsewhere by the churn event `report`
+    /// describes, at simulation time `t` — how many sessions on one
+    /// deployment share a single repair. Migrates the warm start across
+    /// the epoch bump ([`Tracker::adopt_churn`]), restarts the health
+    /// monitor's similarity window (its medians were measured against the
+    /// old pair dimension), and — when the warm-start face did not survive
+    /// the repair exactly — re-enters the recovery ladder at a forced full
+    /// re-acquisition, since the remapped face is a merged/split stand-in
+    /// rather than the face the climb actually matched.
+    ///
+    /// Emits one `fttt.map.repair` journal event (the record `fttt-sim
+    /// explain` renders) with the post-repair epoch hex-encoded like
+    /// every other u64 digest, and the repair's wall-clock time as an
+    /// [`ArgValue::WallUs`](telemetry::ArgValue::WallUs), which the
+    /// canonical journal drops.
+    pub fn adopt_churn(&mut self, t: f64, map: Arc<FaceMap>, report: &RepairReport) {
+        let warm_exact = self.tracker.adopt_churn(map, report);
+        self.migrate_across_churn(t, report, warm_exact);
+    }
+
+    /// The session half of the churn migration both paths share.
+    fn migrate_across_churn(&mut self, t: f64, report: &RepairReport, warm_exact: bool) {
         self.recent_sims.clear();
         let face_remapped = !warm_exact;
         if face_remapped {
@@ -578,12 +597,11 @@ impl TrackingSession {
                     ("cells", ArgValue::U64(report.cells_reclassified as u64)),
                     ("faces_before", ArgValue::U64(report.faces_before as u64)),
                     ("faces_after", ArgValue::U64(report.faces_after as u64)),
-                    ("repair_us", ArgValue::F64(report.repair_us)),
+                    ("repair_us", ArgValue::WallUs(report.repair_us)),
                     ("face_remapped", ArgValue::Bool(face_remapped)),
                 ],
             );
         }
-        report
     }
 
     fn hold_estimate(&self, group: &GroupSampling) -> Point {

@@ -160,8 +160,10 @@ impl TrackingRun {
 ///
 /// The map is behind an [`Arc`] so a server hosting tens of thousands of
 /// concurrent sessions keeps one copy of the division instead of one per
-/// session; [`Tracker::apply_churn`] copies-on-write, so a tracker that
-/// repairs its map privately never disturbs its siblings.
+/// session; [`Tracker::apply_churn`] builds the repaired map beside the
+/// shared one, so a tracker that repairs its map privately never disturbs
+/// its siblings, and [`Tracker::adopt_churn`] lets many trackers share
+/// one repair.
 #[derive(Debug, Clone)]
 pub struct Tracker {
     map: Arc<FaceMap>,
@@ -195,6 +197,13 @@ impl Tracker {
     /// The options.
     pub fn options(&self) -> TrackerOptions {
         self.options
+    }
+
+    /// The face the next heuristic match climbs from (the previous
+    /// localization's, remapped across any churn since), `None` before
+    /// the first match or after [`Tracker::reset`].
+    pub fn warm_start(&self) -> Option<FaceId> {
+        self.previous
     }
 
     /// Forgets the previous localization (e.g. when the target was lost).
@@ -239,28 +248,42 @@ impl Tracker {
     }
 
     /// Repairs the tracker's map for one churn event (death when `death`,
-    /// birth otherwise) and migrates the warm-start state across the
-    /// epoch bump: the previous face is remapped through the repair's
-    /// old→new face table, and the rolling similarity window — measured
-    /// against the old pair dimension — is restarted. Returns the repair
-    /// report and whether the warm-start face survived the repair
-    /// *exactly* (same cell set); callers should treat an inexact
-    /// survival as a stale warm start and force a full re-acquisition.
+    /// birth otherwise), then adopts the result ([`Tracker::adopt_churn`]).
+    /// Returns the repair report and whether the warm-start face survived
+    /// the repair *exactly* (same cell set); callers should treat an
+    /// inexact survival as a stale warm start and force a full
+    /// re-acquisition.
     pub fn apply_churn(
         &mut self,
         node: usize,
         death: bool,
         mode: RepairMode,
     ) -> (RepairReport, bool) {
-        // Copy-on-write: a shared map is cloned once here and the repair
-        // runs on the private copy; an exclusively-owned map is repaired
-        // in place with no copy at all.
-        let map = Arc::make_mut(&mut self.map);
-        let report = if death {
-            map.kill_node(node, mode)
-        } else {
-            map.revive_node(node, mode)
-        };
+        // The repair builds the next map beside the current one, which
+        // may be shared: siblings keep their epoch, and nothing is copied.
+        let (map, report) = self.map.repaired(node, death, mode);
+        let warm_exact = self.adopt_churn(Arc::new(map), &report);
+        (report, warm_exact)
+    }
+
+    /// Switches to `map`, repaired elsewhere by the churn event `report`
+    /// describes, and migrates the warm-start state across the epoch
+    /// bump: the previous face is remapped through the repair's old→new
+    /// face table, and the rolling similarity window — measured against
+    /// the old pair dimension — is restarted. Many trackers can adopt one
+    /// shared repair instead of each repairing a private copy. Returns
+    /// whether the warm-start face survived exactly, as
+    /// [`Tracker::apply_churn`] does.
+    ///
+    /// `map` must be the current map with exactly that repair applied.
+    pub fn adopt_churn(&mut self, map: Arc<FaceMap>, report: &RepairReport) -> bool {
+        debug_assert_eq!(map.epoch(), report.epoch, "map is not the report's epoch");
+        debug_assert_eq!(
+            self.map.epoch() + 1,
+            report.epoch,
+            "report does not start from this tracker's map"
+        );
+        self.map = map;
         self.recent_sims.clear();
         let mut warm_exact = true;
         self.previous = self.previous.take().and_then(|f| {
@@ -268,7 +291,7 @@ impl Tracker {
             warm_exact = exact;
             Some(nf)
         });
-        (report, warm_exact)
+        warm_exact
     }
 
     /// Localizes one grouping sampling; returns the estimate and the raw

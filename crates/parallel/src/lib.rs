@@ -24,5 +24,5 @@
 pub mod pool;
 pub mod seed;
 
-pub use pool::{par_map, par_map_threads, recommended_threads};
+pub use pool::{chunk_len, par_map, par_map_threads, recommended_threads};
 pub use seed::seed_for;

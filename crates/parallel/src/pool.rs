@@ -36,6 +36,15 @@ where
     par_map_threads(recommended_threads(), items, f)
 }
 
+/// How many consecutive items a worker of [`par_map_threads`] over
+/// `threads` workers claims at once from `items` items. It aims for about
+/// 8 chunks per worker, so stragglers re-balance while dispatch overhead
+/// stays negligible. A caller mixing a few heavy items into many light
+/// ones can place the heavy ones a chunk apart so no worker claims two.
+pub fn chunk_len(threads: usize, items: usize) -> usize {
+    (items / (threads * 8)).max(1)
+}
+
 /// [`par_map`] with an explicit worker count (`threads == 1` runs inline,
 /// useful for debugging and for measuring scaling).
 ///
@@ -62,9 +71,7 @@ where
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
 
-    // Aim for ~8 chunks per worker so stragglers re-balance, while keeping
-    // dispatch overhead negligible.
-    let chunk = (items.len() / (threads * 8)).max(1);
+    let chunk = chunk_len(threads, items.len());
     let n_chunks = items.len().div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
     let workers = threads.min(items.len());

@@ -43,13 +43,17 @@ pub enum ArgValue {
     Bool(bool),
     /// Free-form text (cause labels, hop paths).
     Str(String),
+    /// A wall-clock duration in microseconds. Rendered like
+    /// [`ArgValue::F64`] in the raw exports; the canonical form drops it,
+    /// since it measures the machine, not the simulation.
+    WallUs(f64),
 }
 
 impl ArgValue {
     fn render_json(&self) -> String {
         match self {
             ArgValue::U64(v) => v.to_string(),
-            ArgValue::F64(v) => json_f64(*v),
+            ArgValue::F64(v) | ArgValue::WallUs(v) => json_f64(*v),
             ArgValue::Bool(v) => v.to_string(),
             ArgValue::Str(s) => json_str(s),
         }
@@ -383,8 +387,9 @@ impl TraceLog {
     /// The log in the *canonical* line-delimited form used by the
     /// determinism tests and the replay diff: everything that depends on
     /// scheduling rather than on simulation state is stripped — wall-clock
-    /// `ts_us`, global sequence numbers, per-thread ordinals, and span ids
-    /// (begin/end keep only their kind tag) — and the event lines are
+    /// `ts_us` and [`ArgValue::WallUs`] args, global sequence numbers,
+    /// per-thread ordinals, and span ids (begin/end keep only their kind
+    /// tag) — and the event lines are
     /// sorted lexicographically, so per-thread interleaving and racy
     /// sequence assignment cannot reorder the output. Time survives only
     /// where it is *virtual*: the round index on round markers and any
@@ -408,7 +413,11 @@ impl TraceLog {
                 }
             }
             line.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
+            let args = e
+                .args
+                .iter()
+                .filter(|(_, v)| !matches!(v, ArgValue::WallUs(_)));
+            for (i, (k, v)) in args.enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
@@ -598,7 +607,7 @@ mod tests {
     }
 
     /// The canonical export strips every scheduling-dependent field (seq,
-    /// ts, thread, span ids) and sorts lines — so two logs holding the
+    /// ts, thread, span ids, wall-clock args) and sorts lines — so two logs holding the
     /// same events in different interleavings with different sequence
     /// numbers render byte-identically.
     #[test]
@@ -612,6 +621,7 @@ mod tests {
             args: vec![
                 ("session", ArgValue::U64(7)),
                 ("cause", ArgValue::Str("starved".into())),
+                ("step_us", ArgValue::WallUs(12.5)),
             ],
         };
         let begin = TraceEvent {
@@ -642,6 +652,7 @@ mod tests {
         let mut round2 = round;
         round2.seq = 2;
         round2.t_us = 41.5;
+        round2.args[2].1 = ArgValue::WallUs(40.0);
         let b = TraceLog {
             events: vec![round2, begin2],
             dropped: 0,
@@ -653,6 +664,8 @@ mod tests {
             {\"name\":\"fttt.build.total\",\"kind\":\"span_begin\",\"args\":{}}\n\
             {\"name\":\"fttt.session.round\",\"kind\":\"round\",\"round\":3,\"args\":{\"session\":7,\"cause\":\"starved\"}}\n";
         assert_eq!(canon, expected);
+        // The raw export keeps the wall-clock arg the canonical one drops.
+        assert!(a.to_jsonl().contains("\"step_us\":12.5"));
     }
 
     #[test]
