@@ -57,7 +57,7 @@ fn main() {
         let certain_cells: usize = uncertain
             .faces()
             .iter()
-            .filter(|f| f.is_certain())
+            .filter(|f| uncertain.is_certain(f.id))
             .map(|f| f.cell_count)
             .sum();
         let pct = 100.0 * certain_cells as f64 / uncertain.grid().cell_count() as f64;
@@ -67,7 +67,7 @@ fn main() {
             .filter(|&(_, p)| window.contains(p))
             .fold((0usize, 0usize), |(tot, cer), (_, p)| {
                 let id = uncertain.face_at(p).expect("window is in-field");
-                (tot + 1, cer + usize::from(uncertain.face(id).is_certain()))
+                (tot + 1, cer + usize::from(uncertain.is_certain(id)))
             });
         let win_pct = 100.0 * win_certain as f64 / win_total as f64;
         t.row(&[

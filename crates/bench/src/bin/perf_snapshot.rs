@@ -7,7 +7,8 @@
 //! the coarse-to-fine chunk index has to deliver sublinear full-accuracy
 //! matching — `indexed` (steady-state mean) and `indexed_p99` (worst
 //! percentile over a 10×10 grid of probe targets) are gated alongside the
-//! linear scan:
+//! linear scan, and `indexed_ext` / `indexed_ext_p99` gate the same two
+//! numbers for extended (Definition 10) vectors of the same samplings:
 //!
 //! * build reference — a faithful port of the seed's serial
 //!   `FaceMap::build`: rasterize all rows into per-cell `SignatureVector`
@@ -38,7 +39,7 @@
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
 use fttt::replay::digest_hex;
-use fttt::sampling::basic_sampling_vector;
+use fttt::sampling::{basic_sampling_vector, extended_sampling_vector};
 use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
 use fttt_bench::{gate, Cli, Table};
 use rand::SeedableRng;
@@ -58,14 +59,19 @@ struct Setup {
     cell: f64,
     map: FaceMap,
     vector: SamplingVector,
+    /// The extended vector of the same grouping sampling as `vector`.
+    vector_ext: SamplingVector,
     truth: Point,
     /// Sampling vectors from a 10×10 grid of probe targets — the p99
     /// population (one steady-state query per distinct target position).
     probes: Vec<SamplingVector>,
+    /// The extended vectors of the same probe samplings.
+    probes_ext: Vec<SamplingVector>,
 }
 
 /// A seeded random deployment on the 100 m field, its face map at `cell`,
-/// one sampling vector at a fixed target and a grid of probe vectors.
+/// one sampling vector at a fixed target and a grid of probe vectors, each
+/// in both the basic and the extended form.
 fn setup(n: usize, seed: u64, cell: f64) -> Setup {
     let field = Rect::square(100.0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -77,11 +83,11 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
     let sampler = GroupSampler::new(PathLossModel::paper_default(), 5);
     let truth = Point::new(47.0, 53.0);
     let group = sampler.sample(&sensor_field, truth, &mut rng);
-    let probes = (0..10)
+    let probe_groups: Vec<_> = (0..10)
         .flat_map(|i| {
             (0..10).map(move |j| Point::new(5.0 + 10.0 * i as f64, 5.0 + 10.0 * j as f64))
         })
-        .map(|p| basic_sampling_vector(&sampler.sample(&sensor_field, p, &mut rng)))
+        .map(|p| sampler.sample(&sensor_field, p, &mut rng))
         .collect();
     Setup {
         positions,
@@ -90,8 +96,10 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         cell,
         map,
         vector: basic_sampling_vector(&group),
+        vector_ext: extended_sampling_vector(&group),
         truth,
-        probes,
+        probes: probe_groups.iter().map(basic_sampling_vector).collect(),
+        probes_ext: probe_groups.iter().map(extended_sampling_vector).collect(),
     }
 }
 
@@ -181,11 +189,12 @@ fn scalar_reference_build(positions: &[Point], field: Rect, c: f64, cell_size: f
     faces.iter().map(|f| f.signature.len().min(1)).sum()
 }
 
-/// The seed's exhaustive matcher: scalar distance and a `1/√d²` per face.
-fn scalar_reference_match(map: &FaceMap, v: &SamplingVector) -> f64 {
+/// The seed's exhaustive matcher: scalar distance and a `1/√d²` per face,
+/// over per-face signature vectors (`signatures[f]` is face `f`'s).
+fn scalar_reference_match(signatures: &[SignatureVector], v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
-    for f in map.faces() {
-        let d2 = difference_norm_squared(v, &f.signature);
+    for sig in signatures {
+        let d2 = difference_norm_squared(v, sig);
         let s = if d2 == 0.0 {
             f64::INFINITY
         } else {
@@ -243,6 +252,8 @@ struct Row {
     match_heur_us: f64,
     match_indexed_us: f64,
     match_indexed_p99_us: f64,
+    match_indexed_ext_us: f64,
+    match_indexed_ext_p99_us: f64,
 }
 
 /// Per-probe minimum-of-rounds single-match timings, 99th percentile, µs.
@@ -340,6 +351,8 @@ fn main() -> ExitCode {
             "heur warm (µs)",
             "match idx (µs)",
             "idx p99 (µs)",
+            "idx ext (µs)",
+            "ext p99 (µs)",
         ],
     );
 
@@ -371,13 +384,16 @@ fn main() -> ExitCode {
 
         // Matches are microsecond-scale, so each timed round is a batch.
         let warm = s.map.face_at(s.truth).unwrap();
+        let signatures: Vec<SignatureVector> = (0..s.map.face_count())
+            .map(|f| s.map.planes().signature(f))
+            .collect();
         let batch = |r: f64| r / match_batch as f64 * 1e3;
         let matches = time_interleaved_ms(
             match_rounds,
             &mut [
                 &mut || {
                     for _ in 0..match_batch {
-                        std::hint::black_box(scalar_reference_match(&s.map, &s.vector));
+                        std::hint::black_box(scalar_reference_match(&signatures, &s.vector));
                     }
                 },
                 &mut || {
@@ -395,6 +411,11 @@ fn main() -> ExitCode {
                         std::hint::black_box(match_indexed(&s.map, &s.vector));
                     }
                 },
+                &mut || {
+                    for _ in 0..match_batch {
+                        std::hint::black_box(match_indexed(&s.map, &s.vector_ext));
+                    }
+                },
             ],
         );
         let (match_ref_us, match_packed_us, match_heur_us, match_indexed_us) = (
@@ -403,7 +424,9 @@ fn main() -> ExitCode {
             batch(matches[2]),
             batch(matches[3]),
         );
+        let match_indexed_ext_us = batch(matches[4]);
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
+        let match_indexed_ext_p99_us = indexed_p99_us(&s.map, &s.probes_ext, p99_rounds);
 
         table.row(&[
             n.to_string(),
@@ -417,6 +440,8 @@ fn main() -> ExitCode {
             format!("{match_heur_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
+            format!("{match_indexed_ext_us:.1}"),
+            format!("{match_indexed_ext_p99_us:.1}"),
         ]);
         rows.push(Row {
             n,
@@ -428,6 +453,8 @@ fn main() -> ExitCode {
             match_heur_us,
             match_indexed_us,
             match_indexed_p99_us,
+            match_indexed_ext_us,
+            match_indexed_ext_p99_us,
         });
         eprintln!("[perf_snapshot] n = {n} done");
     }
@@ -458,11 +485,21 @@ fn main() -> ExitCode {
                         std::hint::black_box(match_indexed(&s.map, &s.vector));
                     }
                 },
+                &mut || {
+                    for _ in 0..big_match_batch {
+                        std::hint::black_box(match_indexed(&s.map, &s.vector_ext));
+                    }
+                },
             ],
         );
-        let (match_packed_us, match_heur_us, match_indexed_us) =
-            (batch(matches[0]), batch(matches[1]), batch(matches[2]));
+        let (match_packed_us, match_heur_us, match_indexed_us, match_indexed_ext_us) = (
+            batch(matches[0]),
+            batch(matches[1]),
+            batch(matches[2]),
+            batch(matches[3]),
+        );
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
+        let match_indexed_ext_p99_us = indexed_p99_us(&s.map, &s.probes_ext, p99_rounds);
 
         table.row(&[
             n.to_string(),
@@ -476,6 +513,8 @@ fn main() -> ExitCode {
             format!("{match_heur_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
+            format!("{match_indexed_ext_us:.1}"),
+            format!("{match_indexed_ext_p99_us:.1}"),
         ]);
         rows.push(Row {
             n,
@@ -487,6 +526,8 @@ fn main() -> ExitCode {
             match_heur_us,
             match_indexed_us,
             match_indexed_p99_us,
+            match_indexed_ext_us,
+            match_indexed_ext_p99_us,
         });
         eprintln!("[perf_snapshot] n = {n} done");
     }
@@ -559,6 +600,7 @@ fn main() -> ExitCode {
         std::hint::black_box(match_exhaustive(&s.map, &s.vector));
         std::hint::black_box(match_heuristic(&s.map, &s.vector, warm));
         std::hint::black_box(match_indexed(&s.map, &s.vector));
+        std::hint::black_box(match_indexed(&s.map, &s.vector_ext));
     }
     {
         // One instrumented death + revive so the `fttt.map.repair.*`
@@ -636,6 +678,13 @@ fn artifact(
         push("matching", "heuristic_warm", "us", r.match_heur_us);
         push("matching", "indexed", "us", r.match_indexed_us);
         push("matching", "indexed_p99", "us", r.match_indexed_p99_us);
+        push("matching", "indexed_ext", "us", r.match_indexed_ext_us);
+        push(
+            "matching",
+            "indexed_ext_p99",
+            "us",
+            r.match_indexed_ext_p99_us,
+        );
         if let (Some(b), Some(match_ref)) = (&r.build, r.match_ref_us) {
             push("speedup", "build_serial", "x", b.ref_ms / b.serial_ms);
             push(

@@ -303,7 +303,7 @@ fn gate_cases() {
 }
 
 /// The tolerance table holds exactly the gated set: the face count as
-/// `Exact`, and eight core and four served metrics with their allowances.
+/// `Exact`, and ten core and four served metrics with their allowances.
 /// Changing an allowance is a reviewed edit to this list.
 #[test]
 fn tolerance_table_is_the_gated_set() {
@@ -317,6 +317,8 @@ fn tolerance_table_is_the_gated_set() {
         ("matching", "heuristic_warm", max(2.5, 10.0)),
         ("matching", "indexed", max(1.75, 25.0)),
         ("matching", "indexed_p99", max(1.75, 50.0)),
+        ("matching", "indexed_ext", max(2.5, 25.0)),
+        ("matching", "indexed_ext_p99", max(2.5, 50.0)),
         ("repair", "incremental_median", max(3.0, 300.0)),
         ("serve", "round_p50_us", max(3.0, 2_000.0)),
         ("serve", "round_p99_us", max(3.0, 10_000.0)),
@@ -349,6 +351,8 @@ fn committed_core_baseline_covers_every_gated_shape() {
     assert_eq!(gated("build", "packed_serial"), sweep);
     assert_eq!(gated("matching", "indexed"), all);
     assert_eq!(gated("matching", "indexed_p99"), all);
+    assert_eq!(gated("matching", "indexed_ext"), all);
+    assert_eq!(gated("matching", "indexed_ext_p99"), all);
     let mut faces = all.clone();
     faces.push("n=40,cell=4");
     assert_eq!(gated("facemap", "faces"), faces);

@@ -39,8 +39,7 @@ fn campaign_populates_every_telemetry_layer() {
     let map = FaceMap::build(&positions, Rect::square(100.0), 1.15, 1.0);
     for f in map.faces().iter().take(3) {
         let v = SamplingVector::new(
-            f.signature
-                .components()
+            map.signature(f.id)
                 .iter()
                 .map(|&c| Some(c as f64))
                 .collect(),

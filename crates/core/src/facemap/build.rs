@@ -39,13 +39,12 @@ impl fmt::Display for FaceId {
 }
 
 /// One face of the division: a maximal set of grid cells sharing a
-/// signature vector.
+/// signature vector. The signature itself lives once, in the map's plane
+/// arena: [`FaceMap::signature`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Face {
     /// Identifier (equals the face's index).
     pub id: FaceId,
-    /// The face's signature (Definition 6); unique within the map.
-    pub signature: SignatureVector,
     /// Centroid of the face's cell centres (eq. 5) — the location estimate
     /// reported when the target is matched to this face.
     pub centroid: Point,
@@ -56,16 +55,6 @@ pub struct Face {
     /// conservative geometric reachability tests, e.g. the PM baseline's
     /// max-velocity constraint).
     pub bbox: Rect,
-}
-
-impl Face {
-    /// `true` if no component of the signature is `0`, i.e. the face lies
-    /// outside every pair's uncertain area — a "certain" face in the sense
-    /// of the sequence-based baselines (these vanish as `C` grows, paper
-    /// Fig. 3(c)).
-    pub fn is_certain(&self) -> bool {
-        self.signature.components().iter().all(|&v| v != 0)
-    }
 }
 
 /// Computes the signature vector of point `p` for sensors at `positions`
@@ -575,7 +564,6 @@ pub(super) fn assemble(
             let (sx, sy, count) = sums[i];
             Face {
                 id: FaceId(i as u32),
-                signature: planes.signature(i),
                 centroid: Point::new(sx / count as f64, sy / count as f64),
                 cell_count: count,
                 bbox: boxes[i],
@@ -972,6 +960,29 @@ impl FaceMap {
             .map(FaceId)
     }
 
+    /// The signature of face `id` (Definition 6), one component per live
+    /// pair; unique within the map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this map.
+    #[inline]
+    pub fn signature(&self, id: FaceId) -> &[i8] {
+        self.planes.components(id.index())
+    }
+
+    /// `true` if no component of face `id`'s signature is `0`, i.e. the
+    /// face lies outside every pair's uncertain area — a "certain" face in
+    /// the sense of the sequence-based baselines (these vanish as `C`
+    /// grows, paper Fig. 3(c)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this map.
+    pub fn is_certain(&self, id: FaceId) -> bool {
+        self.signature(id).iter().all(|&v| v != 0)
+    }
+
     /// Neighbor faces of `id` (Definition 8), sorted by id.
     ///
     /// # Panics
@@ -998,7 +1009,7 @@ impl FaceMap {
     /// the certain-sequence baselines rely on; the paper's Fig. 3 shows
     /// them disappearing as `C` or node spacing grows.
     pub fn certain_face_count(&self) -> usize {
-        self.faces.iter().filter(|f| f.is_certain()).count()
+        self.faces.iter().filter(|f| self.is_certain(f.id)).count()
     }
 
     /// Exact signature of an arbitrary point under this map's sensors and
@@ -1014,10 +1025,10 @@ impl FaceMap {
         &self.planes
     }
 
-    /// Approximate resident size of the map in bytes: signature storage
-    /// (`faces × pairs`), the packed plane arena, the cell→face index,
-    /// the neighbor links and the churn bookkeeping (deployment roster,
-    /// live list, pair gather) — the quantities behind the paper's
+    /// Approximate resident size of the map in bytes: the packed plane
+    /// arena (which holds the one copy of every signature), the cell→face
+    /// index, the neighbor links and the churn bookkeeping (deployment
+    /// roster, live list, pair gather) — the quantities behind the paper's
     /// `O(n⁴)` storage claim (Section 4.4.2). Excludes allocator overhead
     /// and small fixed fields.
     ///
@@ -1026,7 +1037,6 @@ impl FaceMap {
     /// back), so the reported bytes stay exact across repairs: killing
     /// and reviving the same node returns the map to the original value.
     pub fn memory_bytes(&self) -> usize {
-        let signatures = self.faces.len() * self.pair_dimension() * std::mem::size_of::<i8>();
         let faces = self.faces.len() * std::mem::size_of::<Face>();
         let cells = self.cell_to_face.len() * std::mem::size_of::<u32>();
         let links = self.neighbor_link_count() * std::mem::size_of::<FaceId>();
@@ -1035,7 +1045,7 @@ impl FaceMap {
         let index = self.faces.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
         let topology = self.deployment.len() * std::mem::size_of::<Point>()
             + (self.live.len() + self.pair_gather.len()) * std::mem::size_of::<u32>();
-        signatures + index + faces + cells + links + topology + self.planes.memory_bytes()
+        index + faces + cells + links + topology + self.planes.memory_bytes()
     }
 
     /// Drops any slack capacity left by construction or repair. Both
@@ -1146,9 +1156,10 @@ impl FaceMap {
         write_u32(w, self.faces.len() as u32)?;
         let dim = self.pair_dimension();
         for f in &self.faces {
-            debug_assert_eq!(f.signature.len(), dim);
+            let sig = self.signature(f.id);
+            debug_assert_eq!(sig.len(), dim);
             // Signatures as raw bytes (two's complement i8).
-            let bytes: Vec<u8> = f.signature.components().iter().map(|&v| v as u8).collect();
+            let bytes: Vec<u8> = sig.iter().map(|&v| v as u8).collect();
             w.write_all(&bytes)?;
             for v in [
                 f.centroid.x,
@@ -1224,6 +1235,7 @@ impl FaceMap {
             return Err(CodecError::Corrupt("face count out of range"));
         }
         let mut faces = Vec::with_capacity(n_faces);
+        let mut planes = SignaturePlanes::new(dim);
         for i in 0..n_faces {
             let mut sig_bytes = vec![0u8; dim];
             r.read_exact(&mut sig_bytes)?;
@@ -1231,7 +1243,7 @@ impl FaceMap {
             if comps.iter().any(|&v| !(-1..=1).contains(&v)) {
                 return Err(CodecError::Corrupt("signature component out of range"));
             }
-            let signature = SignatureVector::new(comps);
+            planes.push_signature(&SignatureVector::new(comps));
             let cx = read_f64(r)?;
             let cy = read_f64(r)?;
             let bx0 = read_f64(r)?;
@@ -1247,7 +1259,6 @@ impl FaceMap {
             }
             faces.push(Face {
                 id: FaceId(i as u32),
-                signature,
                 centroid: Point::new(cx, cy),
                 cell_count,
                 bbox: Rect::new(Point::new(bx0, by0), Point::new(bx1, by1)),
@@ -1284,7 +1295,6 @@ impl FaceMap {
             neighbors.push(nbs);
         }
 
-        let mut planes = SignaturePlanes::from_signatures(dim, faces.iter().map(|f| &f.signature));
         let mut sig_index = SignatureIndex::default();
         for f in 0..n_faces as u32 {
             let same = |g: u32| planes.components(g as usize) == planes.components(f as usize);
@@ -1344,6 +1354,11 @@ mod tests {
         Rect::square(100.0)
     }
 
+    /// Face `id`'s signature as an owned vector.
+    fn sig(map: &FaceMap, id: FaceId) -> SignatureVector {
+        SignatureVector::new(map.signature(id).to_vec())
+    }
+
     #[test]
     fn every_cell_is_assigned_and_faces_partition_cells() {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
@@ -1357,12 +1372,9 @@ mod tests {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
         let mut seen = std::collections::HashSet::new();
         for f in map.faces() {
-            assert!(
-                seen.insert(f.signature.clone()),
-                "duplicate signature {}",
-                f.signature
-            );
-            assert_eq!(map.find_by_signature(&f.signature), Some(f.id));
+            let s = sig(&map, f.id);
+            assert!(seen.insert(s.clone()), "duplicate signature {s}");
+            assert_eq!(map.find_by_signature(&s), Some(f.id));
         }
     }
 
@@ -1372,7 +1384,7 @@ mod tests {
         for (idx, center) in map.grid().iter_centers() {
             let _ = idx;
             let id = map.face_at(center).unwrap();
-            assert_eq!(map.face(id).signature, map.signature_at(center));
+            assert_eq!(sig(&map, id), map.signature_at(center));
         }
     }
 
@@ -1402,7 +1414,7 @@ mod tests {
         let boundary_cells: usize = map
             .faces()
             .iter()
-            .filter(|f| !f.is_certain())
+            .filter(|f| !map.is_certain(f.id))
             .map(|f| f.cell_count)
             .sum();
         // Hairline faces cover a vanishing fraction of the field.
@@ -1451,7 +1463,7 @@ mod tests {
         let mut links = 0usize;
         for f in map.faces() {
             for &nb in map.neighbors(f.id) {
-                let d2 = f.signature.distance_squared(&map.face(nb).signature);
+                let d2 = sig(&map, f.id).distance_squared(&sig(&map, nb));
                 links += 1;
                 if d2 <= 1.0 + 1e-12 {
                     one_step += 1;
@@ -1469,7 +1481,7 @@ mod tests {
         let parallel = FaceMap::build_with_threads(&square4(), field(), 1.15, 1.0, 4);
         assert_eq!(serial.face_count(), parallel.face_count());
         for (a, b) in serial.faces().iter().zip(parallel.faces()) {
-            assert_eq!(a.signature, b.signature);
+            assert_eq!(serial.signature(a.id), parallel.signature(b.id));
             assert_eq!(a.cell_count, b.cell_count);
             assert!((a.centroid.x - b.centroid.x).abs() < 1e-12);
             assert!((a.centroid.y - b.centroid.y).abs() < 1e-12);
@@ -1490,7 +1502,7 @@ mod tests {
         // Every coarse signature still exists in the fine map.
         let mut found = 0;
         for f in coarse.faces() {
-            if fine.find_by_signature(&f.signature).is_some() {
+            if fine.find_by_signature(&sig(&coarse, f.id)).is_some() {
                 found += 1;
             }
         }
@@ -1509,14 +1521,14 @@ mod tests {
         assert_eq!(back.uncertainty_constant(), map.uncertainty_constant());
         assert_eq!(back.positions(), map.positions());
         for (a, b) in map.faces().iter().zip(back.faces()) {
-            assert_eq!(a.signature, b.signature);
+            assert_eq!(map.signature(a.id), back.signature(b.id));
             assert_eq!(a.cell_count, b.cell_count);
             assert_eq!(a.centroid, b.centroid);
             assert_eq!(a.bbox, b.bbox);
         }
         for f in map.faces() {
             assert_eq!(back.neighbors(f.id), map.neighbors(f.id));
-            assert_eq!(back.find_by_signature(&f.signature), Some(f.id));
+            assert_eq!(back.find_by_signature(&sig(&map, f.id)), Some(f.id));
         }
         // And it matches identically.
         for (_, center) in map.grid().iter_centers().step_by(13) {
@@ -1575,7 +1587,7 @@ mod tests {
         for f in full.faces() {
             if f.cell_count >= 4 {
                 meaningful += 1;
-                if adaptive.find_by_signature(&f.signature).is_some() {
+                if adaptive.find_by_signature(&sig(&full, f.id)).is_some() {
                     found += 1;
                 }
             }
@@ -1593,11 +1605,8 @@ mod tests {
         let adaptive = FaceMap::build_adaptive(&pos, field(), 1.15, 4.0, 4, 2);
         let mut agree = 0usize;
         for (_, center) in full.grid().iter_centers() {
-            let a = full.face(full.face_at(center).unwrap()).signature.clone();
-            let b = adaptive
-                .face(adaptive.face_at(center).unwrap())
-                .signature
-                .clone();
+            let a = full.signature(full.face_at(center).unwrap());
+            let b = adaptive.signature(adaptive.face_at(center).unwrap());
             if a == b {
                 agree += 1;
             }
@@ -1625,9 +1634,6 @@ mod tests {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
         assert_eq!(map.planes().face_count(), map.face_count());
         assert_eq!(map.planes().dim(), map.pair_dimension());
-        for f in map.faces() {
-            assert_eq!(map.planes().signature(f.id.index()), f.signature);
-        }
         // The codec rebuilds an identical plane arena.
         let mut bytes = Vec::new();
         map.write_to(&mut bytes).unwrap();
@@ -1636,7 +1642,8 @@ mod tests {
         // And the adaptive builder fills it the same way.
         let adaptive = FaceMap::build_adaptive(&square4(), field(), 1.15, 4.0, 4, 2);
         for f in adaptive.faces() {
-            assert_eq!(adaptive.planes().signature(f.id.index()), f.signature);
+            let packed = adaptive.planes().signature(f.id.index());
+            assert_eq!(adaptive.find_by_signature(&packed), Some(f.id));
         }
     }
 

@@ -163,8 +163,9 @@ impl Node {
 }
 
 /// An entry in the [`BestFirstFrontier`]: totally ordered by ascending
-/// bound, then by [`Node::key`]. Bounds are exact ternary distances —
-/// finite, never NaN — so `total_cmp` agrees with the numeric order.
+/// bound, then by [`Node::key`]. Bounds are sums of finite nonnegative
+/// terms — never NaN, never `−0.0` — so `total_cmp` agrees with the
+/// numeric order.
 struct FrontierEntry {
     bound: f64,
     node: Node,
@@ -242,9 +243,12 @@ impl BestFirstFrontier {
 /// the complete tie set are exactly the exhaustive scan's (ties are
 /// re-sorted into face order to make the equality literal).
 ///
-/// Extended (Definition 10) queries carry no envelope structure, and maps
-/// without a chunk index have nothing to descend; both fall back to the
-/// plain scan — same outcome, linear cost.
+/// Both query kinds take this path: ternary bounds are exact integer
+/// counts, and extended (Definition 10) bounds are `f64` sums that stay at
+/// or below every member face's `f64` distance bit for bit (see
+/// [`chunk_lower_bound`](crate::vector::SignaturePlanes::chunk_lower_bound)),
+/// so the prune above is exact for both. Only maps without a chunk index
+/// fall back to the plain scan — same outcome, linear cost.
 ///
 /// # Panics
 ///
@@ -257,12 +261,12 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
     );
     let planes = map.planes();
     let q = PackedQuery::new(v);
-    if !q.is_packed_ternary() || !planes.has_chunks() {
+    if !planes.has_chunks() {
         return match_exhaustive(map, v);
     }
     let chunk_count = planes.chunk_count();
-    // Ternary distances and bounds are exact small integers in f64, so
-    // every comparison below is exact. The descent is *globally*
+    // Bounds never exceed the distances they cover, bit for bit (see
+    // above), so every prune below is exact. The descent is *globally*
     // best-first: a single priority queue holds super-chunks and leaf
     // chunks together, ordered by lower bound. Popping a super-chunk
     // pushes its leaf bounds; popping a leaf scans its faces exactly.
@@ -547,19 +551,23 @@ mod tests {
         FaceMap::build(&square4(), Rect::square(100.0), 1.15, 1.0)
     }
 
+    /// Face `id`'s signature as sampling-vector components.
+    fn components(m: &FaceMap, id: FaceId) -> Vec<Option<f64>> {
+        m.signature(id).iter().map(|&c| Some(c as f64)).collect()
+    }
+
+    /// The sampling vector that reads exactly face `id`'s signature.
+    fn exact(m: &FaceMap, id: FaceId) -> SamplingVector {
+        SamplingVector::new(components(m, id))
+    }
+
     /// The exact signature of a face must match back to that face with
     /// infinite similarity.
     #[test]
     fn exhaustive_finds_exact_faces() {
         let m = map();
         for f in m.faces().iter().take(50) {
-            let v = SamplingVector::new(
-                f.signature
-                    .components()
-                    .iter()
-                    .map(|&c| Some(c as f64))
-                    .collect(),
-            );
+            let v = exact(&m, f.id);
             let out = match_exhaustive(&m, &v);
             assert_eq!(out.face, f.id);
             assert_eq!(out.similarity, f64::INFINITY);
@@ -584,13 +592,7 @@ mod tests {
             "far-away pair leaves the field undivided"
         );
         let f = &m.faces()[0];
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let out = match_exhaustive(&m, &v);
         assert_eq!(out.face, f.id);
         assert_eq!(out.ties, vec![f.id]);
@@ -608,13 +610,7 @@ mod tests {
     fn exhaustive_visits_every_face() {
         let m = map();
         let f0 = &m.faces()[0];
-        let v = SamplingVector::new(
-            f0.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f0.id);
         let out = match_exhaustive(&m, &v);
         assert_eq!(out.evaluated, m.face_count());
         assert_eq!(out.rounds, 0);
@@ -625,13 +621,7 @@ mod tests {
     #[test]
     fn exhaustive_ml_on_perturbed_vector() {
         let m = map();
-        let f = m.face(m.center_face()).clone();
-        let mut comps: Vec<Option<f64>> = f
-            .signature
-            .components()
-            .iter()
-            .map(|&c| Some(c as f64))
-            .collect();
+        let mut comps = components(&m, m.center_face());
         // Toggle the first 0 component to 1 (or flip a 1 to 0).
         let idx = comps.iter().position(|c| *c == Some(0.0)).unwrap_or(0);
         comps[idx] = Some(if comps[idx] == Some(0.0) { 1.0 } else { 0.0 });
@@ -648,10 +638,8 @@ mod tests {
         // An extended vector with no exact match: the winner must be the
         // scalar argmin of ‖V_d − V_s(f)‖², with the similarity computed
         // from exactly that squared distance.
-        let f = m.face(m.center_face()).clone();
-        let comps: Vec<Option<f64>> = f
-            .signature
-            .components()
+        let comps: Vec<Option<f64>> = m
+            .signature(m.center_face())
             .iter()
             .enumerate()
             .map(|(i, &c)| {
@@ -665,8 +653,8 @@ mod tests {
         let v = SamplingVector::new(comps);
         let out = match_exhaustive(&m, &v);
         let (mut arg, mut best) = (0usize, f64::INFINITY);
-        for (i, face) in m.faces().iter().enumerate() {
-            let d2 = difference_norm_squared(&v, &face.signature);
+        for i in 0..m.face_count() {
+            let d2 = difference_norm_squared(&v, &m.planes().signature(i));
             if d2 < best {
                 best = d2;
                 arg = i;
@@ -700,10 +688,8 @@ mod tests {
                         .map(|i| Some(base + ((i * stride) % 8) as f64 * e))
                         .collect();
                     let v = SamplingVector::new(comps);
-                    let scored: Vec<f64> = m
-                        .faces()
-                        .iter()
-                        .map(|f| difference_norm_squared(&v, &f.signature))
+                    let scored: Vec<f64> = (0..m.face_count())
+                        .map(|f| difference_norm_squared(&v, &m.planes().signature(f)))
                         .collect();
                     let d2min = scored.iter().cloned().fold(f64::INFINITY, f64::min);
                     let rmin = (1.0 / d2min.sqrt()).to_bits();
@@ -742,13 +728,7 @@ mod tests {
         // start.
         let target = m.face_at(Point::new(52.0, 48.0)).unwrap();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let exhaustive = match_exhaustive(&m, &v);
         let mut converged = 0;
         let starts = [0usize, 1, m.face_count() / 2, m.face_count() - 1];
@@ -768,13 +748,7 @@ mod tests {
         let m = map();
         let target = m.center_face();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         // Warm start at the answer: zero rounds, evaluates only the
         // neighborhood.
         let out = match_heuristic(&m, &v, target);
@@ -789,13 +763,7 @@ mod tests {
         let m = map();
         let target = m.center_face();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let nb = m.neighbors(target)[0];
         let out = match_heuristic(&m, &v, nb);
         assert_eq!(out.face, target);
@@ -823,23 +791,9 @@ mod tests {
             .faces()
             .iter()
             .step_by(7)
-            .map(|f| {
-                SamplingVector::new(
-                    f.signature
-                        .components()
-                        .iter()
-                        .map(|&c| Some(c as f64))
-                        .collect(),
-                )
-            })
+            .map(|f| exact(&m, f.id))
             .collect();
-        let f = m.face(m.center_face()).clone();
-        let mut comps: Vec<Option<f64>> = f
-            .signature
-            .components()
-            .iter()
-            .map(|&c| Some(c as f64))
-            .collect();
+        let mut comps = components(&m, m.center_face());
         comps[0] = Some(if comps[0] == Some(0.0) { 1.0 } else { 0.0 });
         comps[5] = None;
         probes.push(SamplingVector::new(comps));
@@ -864,13 +818,7 @@ mod tests {
     fn indexed_prunes_on_exact_match() {
         let m = map();
         let f = m.face(m.center_face()).clone();
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let out = match_indexed(&m, &v);
         assert_eq!(out.face, f.id);
         assert_eq!(out.similarity, f64::INFINITY);
@@ -882,23 +830,36 @@ mod tests {
         );
     }
 
-    /// Extended (non-ternary) queries carry no envelope structure; the
-    /// indexed entry point must fall back to the scan, not misprune.
+    /// Extended (non-ternary) queries descend the index like ternary
+    /// ones: a query near one face's signature, with fractional and `*`
+    /// components, matches exactly as the scan does while evaluating only
+    /// part of the map.
     #[test]
-    fn indexed_extended_query_falls_back_to_scan() {
+    fn indexed_extended_query_prunes_and_matches_scan() {
         let m = map();
-        // 0.3 is outside {−1, 0, +1}, so the packed query is extended no
-        // matter what any face's signature looks like.
-        let comps: Vec<Option<f64>> = (0..m.pair_dimension())
-            .map(|i| if i % 5 == 2 { None } else { Some(0.3) })
+        let sig = m.signature(m.center_face());
+        let comps: Vec<Option<f64>> = sig
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| match i % 3 {
+                2 => None,
+                1 => Some(c as f64 * 0.8 + 0.1),
+                _ => Some(c as f64),
+            })
             .collect();
         let v = SamplingVector::new(comps);
+        assert!(!PackedQuery::new(&v).is_packed_ternary());
         let ex = match_exhaustive(&m, &v);
         let ix = match_indexed(&m, &v);
         assert_eq!(ix.face, ex.face);
         assert_eq!(ix.similarity.to_bits(), ex.similarity.to_bits());
         assert_eq!(ix.ties, ex.ties);
-        assert_eq!(ix.evaluated, m.face_count(), "fallback scans every face");
+        assert!(
+            ix.evaluated < m.face_count(),
+            "evaluated {} of {} faces — no pruning happened",
+            ix.evaluated,
+            m.face_count()
+        );
     }
 
     /// `match_full` is a pure dispatcher.

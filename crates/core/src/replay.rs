@@ -90,7 +90,7 @@ pub fn digest_face_map(map: &FaceMap) -> u64 {
     d.write_u64(faces.len() as u64);
     for face in faces {
         d.write_u64(face.id.0 as u64);
-        for &c in face.signature.components() {
+        for &c in map.signature(face.id) {
             d.write_bytes(&[c as u8]);
         }
         d.write_f64(face.centroid.x);

@@ -404,9 +404,9 @@ impl TrackingSession {
         let reacquired = self.force_reacquire;
         let (estimate, outcome) = if reacquired {
             self.force_reacquire = false;
-            self.tracker.reacquire(group)
+            self.tracker.reacquire_vector(&v)
         } else {
-            self.tracker.localize(group)
+            self.tracker.localize_vector(&v)
         };
 
         // Health checks.

@@ -298,14 +298,21 @@ impl Tracker {
     /// match outcome. Updates the warm-start state.
     pub fn localize(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
         let v = self.sampling_vector(group);
+        self.localize_vector(&v)
+    }
+
+    /// [`Tracker::localize`] on a sampling vector already built by
+    /// [`Tracker::sampling_vector`] — for callers that inspect the vector
+    /// themselves and should not build it twice.
+    pub fn localize_vector(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
         let outcome = match self.options.matching {
-            Matching::Exhaustive => match_full(&self.map, &v, self.options.strategy),
+            Matching::Exhaustive => match_full(&self.map, v, self.options.strategy),
             Matching::Heuristic {
                 fallback_below,
                 reacquire_ratio,
             } => {
                 let start = self.previous.unwrap_or_else(|| self.map.center_face());
-                let out = match_heuristic(&self.map, &v, start);
+                let out = match_heuristic(&self.map, v, start);
                 let below_absolute = fallback_below.is_some_and(|th| out.similarity < th);
                 let stranded = reacquire_ratio.is_some_and(|r| {
                     self.rolling_median_similarity()
@@ -323,7 +330,7 @@ impl Tracker {
                             ],
                         );
                     }
-                    let mut ex = match_full(&self.map, &v, self.options.strategy);
+                    let mut ex = match_full(&self.map, v, self.options.strategy);
                     ex.evaluated += out.evaluated;
                     ex
                 } else {
@@ -344,7 +351,13 @@ impl Tracker {
     /// heuristic climb is suspected of being stranded.
     pub fn reacquire(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
         let v = self.sampling_vector(group);
-        let outcome = match_full(&self.map, &v, self.options.strategy);
+        self.reacquire_vector(&v)
+    }
+
+    /// [`Tracker::reacquire`] on a sampling vector already built by
+    /// [`Tracker::sampling_vector`].
+    pub fn reacquire_vector(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
+        let outcome = match_full(&self.map, v, self.options.strategy);
         self.record_similarity(outcome.similarity);
         self.previous = Some(outcome.face);
         let estimate = self.resolve_estimate(&outcome);
@@ -536,6 +549,29 @@ mod tests {
         assert!(tracker.previous.is_some());
         tracker.reset();
         assert!(tracker.previous.is_none());
+    }
+
+    /// The vector entry points are the group entry points minus the
+    /// vector build: same outcomes, same warm-start state afterwards.
+    #[test]
+    fn vector_entry_points_match_group_entry_points() {
+        let (field, map, sampler) = setup(9, 6.0, 5);
+        for options in [TrackerOptions::heuristic(), TrackerOptions::extended()] {
+            let mut by_group = Tracker::new(map.clone(), options);
+            let mut by_vector = Tracker::new(map.clone(), options);
+            let mut r = rng(11);
+            for (i, x) in [20.0, 35.0, 50.0, 65.0].into_iter().enumerate() {
+                let g = sampler.sample(&field, Point::new(x, 50.0), &mut r);
+                let v = by_vector.sampling_vector(&g);
+                let (a, b) = if i % 2 == 0 {
+                    (by_group.localize(&g), by_vector.localize_vector(&v))
+                } else {
+                    (by_group.reacquire(&g), by_vector.reacquire_vector(&v))
+                };
+                assert_eq!(a, b, "round {i}");
+                assert_eq!(by_group.warm_start(), by_vector.warm_start());
+            }
+        }
     }
 
     #[test]

@@ -21,22 +21,27 @@
 //! bit-identical to the scalar [`difference_norm_squared`] sum (which
 //! adds the same integers in f64, exactly).
 //!
-//! Extended vectors (Definition 10) carry arbitrary values in `[−1, 1]`
-//! and fall back to a flat structure-of-arrays kernel: a contiguous
-//! per-face component row and a `{0.0, 1.0}` presence mask replace the
-//! `Option<f64>` branching, and terms are accumulated in pair order so
-//! the result stays bit-identical to the scalar reference.
+//! Extended vectors (Definition 10) carry arbitrary values in `[−1, 1]`,
+//! so their distance is a genuine `f64` sum over a flat
+//! structure-of-arrays kernel: a contiguous per-face component row and a
+//! `{0.0, 1.0}` presence mask replace the `Option<f64>` branching, and
+//! terms are accumulated in pair order so the result stays bit-identical
+//! to the scalar reference. The chunk envelopes bound the same sum from
+//! below: per pair they take the smallest term, by the same expression,
+//! that any member face can contribute (see
+//! [`SignaturePlanes::chunk_lower_bound`]).
 //!
 //! [`difference_norm_squared`]: crate::vector::difference_norm_squared
 
 use crate::vector::{hugepages, simd, SamplingVector, SignatureVector};
+use std::sync::OnceLock;
 
 /// Bit-plane arena holding the signatures of every face of a map.
 ///
 /// Face `f`'s planes live at word range `f·W .. (f+1)·W` of [`plus`] and
 /// [`minus`] (`W` = [`words_per_face`]); its raw components additionally
-/// live at `f·P .. (f+1)·P` of a flat `i8` row used by the extended-vector
-/// fallback kernel (and to reconstruct [`SignatureVector`]s).
+/// live at `f·P .. (f+1)·P` of a flat `i8` row — the one stored copy of
+/// each face signature ([`SignaturePlanes::components`]).
 ///
 /// [`plus`]: SignaturePlanes::plus
 /// [`minus`]: SignaturePlanes::minus
@@ -468,7 +473,7 @@ impl SignaturePlanes {
         &self.minus[f * self.words..(f + 1) * self.words]
     }
 
-    /// Raw ternary components of face `f` (the extended-kernel row).
+    /// Raw ternary components of face `f`: its signature (Definition 6).
     #[inline]
     pub fn components(&self, f: usize) -> &[i8] {
         &self.comps[f * self.dim..(f + 1) * self.dim]
@@ -529,17 +534,8 @@ impl SignaturePlanes {
                 };
                 d2 as f64
             }
-            QueryKind::Extended { vals, mask } => {
-                let row = &self.comps[f * self.dim..(f + 1) * self.dim];
-                let mut acc = 0.0f64;
-                // Accumulated strictly in pair order: a masked term is
-                // exactly 0.0, so the partial sums match the scalar
-                // reference bit-for-bit.
-                for i in 0..self.dim {
-                    let d = (vals[i] - row[i] as f64) * mask[i];
-                    acc += d * d;
-                }
-                acc
+            QueryKind::Extended { vals, mask, .. } => {
+                extended_face_sum(vals, mask, self.components(f), f64::INFINITY)
             }
         }
     }
@@ -661,9 +657,20 @@ impl SignaturePlanes {
     ///   there (`inter_known`);
     /// * query `*` — contributes 0.
     ///
+    /// An extended query (present components `v` anywhere in `[−1, 1]`)
+    /// takes, per component, the smallest of the terms some member face
+    /// can contribute: `(v − 1)²` if `union_plus` is set, `(v + 1)²` if
+    /// `union_minus` is set, and `v²` if `inter_known` is clear — each
+    /// computed by the face kernel's own expression (so a `*` component
+    /// contributes 0, as it does to every face).
+    ///
     /// Summing per-component minima can only undercount any single face's
-    /// distance, hence the bound. Extended queries have no envelope
-    /// structure and get the trivial bound `0.0`.
+    /// distance, hence the bound. For extended queries this holds in
+    /// `f64`, not just in exact arithmetic: each bound term is one of the
+    /// face's candidate terms or a smaller one, the terms are added in
+    /// the same pair order as the face kernel's, and rounded addition is
+    /// monotone (`a ≤ a'` and `b ≤ b'` give `fl(a + b) ≤ fl(a' + b')`), so
+    /// every partial sum of the bound stays at or below the face's.
     ///
     /// # Panics
     ///
@@ -739,7 +746,14 @@ impl SignaturePlanes {
                 };
                 lb as f64
             }
-            QueryKind::Extended { .. } => 0.0,
+            QueryKind::Extended {
+                vals,
+                mask,
+                bound_terms,
+            } => extended_bound(
+                bound_terms.get_or_init(|| extended_bound_terms(vals, mask)),
+                &env,
+            ),
         }
     }
 
@@ -780,8 +794,8 @@ impl SignaturePlanes {
                 );
                 Self::ternary_within(gp, gm, query, cutoff)
             }
-            QueryKind::Extended { .. } => {
-                let d = self.distance_squared(f, query);
+            QueryKind::Extended { vals, mask, .. } => {
+                let d = extended_face_sum(vals, mask, self.components(f), cutoff);
                 (d <= cutoff).then_some(d)
             }
         }
@@ -789,11 +803,13 @@ impl SignaturePlanes {
 
     /// [`distance_squared_within`](SignaturePlanes::distance_squared_within)
     /// for the face in *slot* `slot` of chunk `c` (its id is
-    /// `chunk_faces(c)[slot]`), read from the chunk-ordered lane copy of
-    /// the planes: consecutive slots are consecutive in memory, so a leaf
-    /// scan streams sequentially instead of gathering faces scattered
-    /// across the main arena. Bit-identical to calling
-    /// `distance_squared_within` on the face id.
+    /// `chunk_faces(c)[slot]`). Ternary queries read the chunk-ordered
+    /// lane copy of the planes: consecutive slots are consecutive in
+    /// memory, so a leaf scan streams sequentially instead of gathering
+    /// faces scattered across the main arena. Extended queries read the
+    /// face's component row, which a face's planes would only re-derive
+    /// bit by bit. Bit-identical to calling `distance_squared_within` on
+    /// the face id.
     ///
     /// # Panics
     ///
@@ -819,8 +835,9 @@ impl SignaturePlanes {
                 let (gp, gm) = self.chunks.lane(pos, self.words);
                 Self::ternary_within(gp, gm, query, cutoff)
             }
-            QueryKind::Extended { .. } => {
-                let d = self.distance_squared(faces[slot] as usize, query);
+            QueryKind::Extended { vals, mask, .. } => {
+                let row = self.components(faces[slot] as usize);
+                let d = extended_face_sum(vals, mask, row, cutoff);
                 (d <= cutoff).then_some(d)
             }
         }
@@ -880,7 +897,80 @@ enum QueryKind {
     Extended {
         vals: Vec<f64>,
         mask: Vec<f64>,
+        /// Per pair, the envelope bound's term for each set of component
+        /// values a chunk may hold there: entry `a` is the smallest
+        /// [`extended_term`] over the values in `a` (bit 0 for `+1`, bit 1
+        /// for `0`, bit 2 for `−1`; the empty set is `+∞`). Built on the
+        /// first envelope bound, so the matchers that never bound a chunk
+        /// (the scan, the heuristic) never pay for it.
+        bound_terms: OnceLock<Vec<[f64; 8]>>,
     },
+}
+
+/// The extended kernels' one term: pair value `v` with presence mask `m`
+/// against face component `s`. A masked (`*`) term is exactly `0.0`.
+#[inline(always)]
+fn extended_term(v: f64, m: f64, s: f64) -> f64 {
+    let d = (v - s) * m;
+    d * d
+}
+
+/// Pairs added between early-exit checks in [`extended_face_sum`].
+const EXIT_STRIDE: usize = 32;
+
+/// An extended query's squared distance to the face with signature row
+/// `row`, accumulated strictly in pair order, so the partial sums match
+/// the scalar reference bit for bit.
+///
+/// Stops once a partial sum exceeds `cutoff` and returns that partial
+/// sum, which then also exceeds `cutoff`; otherwise returns the full sum.
+/// Terms are nonnegative, so partial sums never decrease.
+#[inline]
+fn extended_face_sum(vals: &[f64], mask: &[f64], row: &[i8], cutoff: f64) -> f64 {
+    let mut acc = 0.0f64;
+    for (i, ((&v, &m), &s)) in vals.iter().zip(mask).zip(row).enumerate() {
+        acc += extended_term(v, m, s as f64);
+        if i % EXIT_STRIDE == EXIT_STRIDE - 1 && acc > cutoff {
+            return acc;
+        }
+    }
+    acc
+}
+
+/// The extended-query envelope lower bound: per pair the smallest term
+/// some member face can contribute — `+1` only where `union_plus` is set,
+/// `0` only where `inter_known` is clear, `−1` only where `union_minus` is
+/// set — added in pair order, as [`extended_face_sum`] adds a face's.
+fn extended_bound(bound_terms: &[[f64; 8]], env: &simd::ChunkEnvelope<'_>) -> f64 {
+    let mut acc = 0.0f64;
+    for (w, block) in bound_terms.chunks(64).enumerate() {
+        let (plus, zero, minus) = (env.union_plus[w], !env.inter_known[w], env.union_minus[w]);
+        for (b, terms) in block.iter().enumerate() {
+            // The allowed set indexes its precomputed minimum: no
+            // data-dependent branch (the set varies pair to pair).
+            let set = (plus >> b & 1) | (zero >> b & 1) << 1 | (minus >> b & 1) << 2;
+            acc += terms[set as usize];
+        }
+    }
+    acc
+}
+
+/// The per-pair table behind [`extended_bound`]: for each pair, entry
+/// `set` is the smallest [`extended_term`] over the component values in
+/// `set` (see `QueryKind::Extended::bound_terms`).
+fn extended_bound_terms(vals: &[f64], mask: &[f64]) -> Vec<[f64; 8]> {
+    vals.iter()
+        .zip(mask)
+        .map(|(&v, &m)| {
+            let terms = [1.0, 0.0, -1.0].map(|s| extended_term(v, m, s));
+            std::array::from_fn(|set| {
+                (0..3)
+                    .filter(|k| set >> k & 1 == 1)
+                    .map(|k| terms[k])
+                    .fold(f64::INFINITY, f64::min)
+            })
+        })
+        .collect()
 }
 
 impl PackedQuery {
@@ -929,7 +1019,11 @@ impl PackedQuery {
             }
             Self {
                 dim,
-                kind: QueryKind::Extended { vals, mask },
+                kind: QueryKind::Extended {
+                    vals,
+                    mask,
+                    bound_terms: OnceLock::new(),
+                },
             }
         }
     }
@@ -1103,13 +1197,37 @@ mod tests {
         }
     }
 
+    /// A one-face chunk allows exactly that face's value per component, so
+    /// its extended bound is the face's distance, bit for bit — and a
+    /// two-face super-chunk's bound undercuts both.
     #[test]
-    fn extended_queries_get_the_trivial_bound() {
-        let sigs = vec![SignatureVector::new(vec![1, -1, 0])];
+    fn extended_singleton_chunk_bound_is_exact() {
+        let sigs = vec![
+            SignatureVector::new(vec![1, -1, 0, 1, 0, -1]),
+            SignatureVector::new(vec![0, 1, -1, -1, 1, -1]),
+        ];
         let mut planes = planes_of(&sigs);
-        planes.build_chunks(&[0], &[0]);
-        let q = PackedQuery::new(&SamplingVector::new(vec![Some(0.5), None, Some(-0.25)]));
-        assert_eq!(planes.chunk_lower_bound(0, &q), 0.0);
+        planes.build_chunks(&[0, 1], &[0, 0]);
+        let v = SamplingVector::new(vec![
+            Some(0.5),
+            None,
+            Some(-0.25),
+            Some(1.0),
+            Some(0.0),
+            Some(-1.0 / 3.0),
+        ]);
+        let q = PackedQuery::new(&v);
+        assert!(!q.is_packed_ternary());
+        for c in 0..2 {
+            let f = planes.chunk_faces(c)[0] as usize;
+            let d2 = planes.distance_squared(f, &q);
+            assert_eq!(planes.chunk_lower_bound(c, &q).to_bits(), d2.to_bits());
+            assert_eq!(
+                d2.to_bits(),
+                difference_norm_squared(&v, &sigs[f]).to_bits()
+            );
+            assert!(planes.super_lower_bound(0, &q) <= d2);
+        }
     }
 
     #[test]

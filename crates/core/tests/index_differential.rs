@@ -3,7 +3,8 @@
 //! winning face, same similarity bits, same complete tie set — over random
 //! deployments and every query shape the matchers accept, and the chunk
 //! envelope lower bound that justifies its pruning must never exceed the
-//! true distance of any member face, at any dimension up to 1000.
+//! true distance of any member face, for ternary and extended queries, at
+//! any dimension up to 1000.
 
 use fttt::matching::{match_exhaustive, match_indexed};
 use fttt::vector::{PackedQuery, SamplingVector, SignaturePlanes, SignatureVector};
@@ -32,6 +33,23 @@ fn random_ternary<R: Rng + ?Sized>(dim: usize, rng: &mut R) -> SamplingVector {
             })
             .collect(),
     )
+}
+
+/// A random extended vector that also hits the exact values −1, 0 and +1
+/// (the ordinal pairs of a real extended sampling) and `*`, with at least
+/// one fractional component so the query stays extended.
+fn random_mixed_extended<R: Rng + ?Sized>(dim: usize, rng: &mut R) -> SamplingVector {
+    let mut comps: Vec<Option<f64>> = (0..dim)
+        .map(|_| match rng.gen_range(0..5) {
+            0 => None,
+            1 => Some(-1.0),
+            2 => Some(0.0),
+            3 => Some(1.0),
+            _ => Some(rng.gen_range(-1.0..=1.0f64)),
+        })
+        .collect();
+    comps[rng.gen_range(0..dim)] = Some(0.5);
+    SamplingVector::new(comps)
 }
 
 /// A random extended sampling vector (components anywhere in [−1, 1] or *).
@@ -91,14 +109,15 @@ proptest! {
         // the hardest pruning (every other chunk bound must exceed 0).
         for f in map.faces().iter().step_by(1 + map.face_count() / 8) {
             let v = SamplingVector::new(
-                f.signature.components().iter().map(|&c| Some(c as f64)).collect(),
+                map.signature(f.id).iter().map(|&c| Some(c as f64)).collect(),
             );
             assert_identical(&map, &v, "exact signature");
         }
     }
 
-    /// Extended queries (the fallback path) and the all-star vector of a
-    /// zero-live-node round (every component `*`, everything ties).
+    /// Extended queries (real-valued bounds over the same index) and the
+    /// all-star vector of a zero-live-node round (every component `*`,
+    /// everything ties).
     #[test]
     fn indexed_is_bit_identical_on_extended_and_all_star_queries(
         positions in arb_positions(2..10),
@@ -109,6 +128,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..4 {
             assert_identical(&map, &random_extended(dim, &mut rng), "extended");
+            assert_identical(&map, &random_mixed_extended(dim, &mut rng), "mixed extended");
         }
         let all_star = SamplingVector::new(vec![None; dim]);
         assert_identical(&map, &all_star, "all-star");
@@ -118,11 +138,14 @@ proptest! {
 
     /// The envelope lower bounds are sound at every dimension 1..=1000:
     /// for random signatures, random two-level chunkings, and random
-    /// ternary queries, `super_lower_bound(s) ≤ chunk_lower_bound(c) ≤
-    /// d²(f)` for every leaf chunk `c` under super-chunk `s` and every
-    /// face `f` in `c`. (These are the invariants the two-level prune
-    /// rests on; FaceMaps cap out near dim ≈ 60 in this suite, so the
-    /// planes are driven directly.)
+    /// ternary and extended queries, `super_lower_bound(s) ≤
+    /// chunk_lower_bound(c) ≤ d²(f)` for every leaf chunk `c` under
+    /// super-chunk `s` and every face `f` in `c`, and a one-face chunk's
+    /// bound is that face's d². (These are the invariants the two-level
+    /// prune rests on; FaceMaps cap out near dim ≈ 60 in this suite, so
+    /// the planes are driven directly.) All values are nonnegative
+    /// `f64`s, whose bit patterns order like their values, so comparing
+    /// `to_bits` checks the inequalities exactly, with no tolerance.
     #[test]
     fn chunk_lower_bound_is_sound_at_any_dimension(
         dim in 1usize..=1000,
@@ -147,25 +170,36 @@ proptest! {
         let super_of: Vec<u32> =
             leaf_of.iter().map(|&c| leaf_super[c as usize]).collect();
         planes.build_chunks(&leaf_of, &super_of);
-        for _ in 0..4 {
-            let v = random_ternary(dim, &mut rng);
-            let q = PackedQuery::new(&v);
+        let queries = [
+            random_ternary(dim, &mut rng),
+            random_ternary(dim, &mut rng),
+            random_extended(dim, &mut rng),
+            random_mixed_extended(dim, &mut rng),
+            random_mixed_extended(dim, &mut rng),
+        ];
+        for v in &queries {
+            let q = PackedQuery::new(v);
             for s in 0..planes.super_count() {
                 let sb = planes.super_lower_bound(s, &q);
+                prop_assert!(sb.is_sign_positive());
                 for c in planes.super_chunks(s) {
                     let lb = planes.chunk_lower_bound(c, &q);
                     prop_assert!(
-                        sb <= lb,
+                        sb.to_bits() <= lb.to_bits(),
                         "dim {} super {} chunk {}: super bound {} > leaf bound {}",
                         dim, s, c, sb, lb
                     );
-                    for &f in planes.chunk_faces(c) {
+                    let members = planes.chunk_faces(c);
+                    for &f in members {
                         let d2 = planes.distance_squared(f as usize, &q);
                         prop_assert!(
-                            lb <= d2,
+                            lb.to_bits() <= d2.to_bits(),
                             "dim {} chunk {} face {}: bound {} > distance {}",
                             dim, c, f, lb, d2
                         );
+                        if members.len() == 1 {
+                            prop_assert_eq!(lb.to_bits(), d2.to_bits());
+                        }
                     }
                 }
             }
@@ -188,10 +222,16 @@ fn indexed_matches_at_thousand_dimensions() {
     for _ in 0..4 {
         assert_identical(&map, &random_ternary(dim, &mut rng), "dim-1035 ternary");
     }
+    for _ in 0..2 {
+        assert_identical(
+            &map,
+            &random_mixed_extended(dim, &mut rng),
+            "dim-1035 extended",
+        );
+    }
     let f = &map.faces()[map.face_count() / 2];
     let v = SamplingVector::new(
-        f.signature
-            .components()
+        map.signature(f.id)
             .iter()
             .map(|&c| Some(c as f64))
             .collect(),

@@ -114,7 +114,8 @@ proptest! {
         let total: usize = map.faces().iter().map(|f| f.cell_count).sum();
         prop_assert_eq!(total, map.grid().cell_count());
         for f in map.faces() {
-            prop_assert_eq!(map.find_by_signature(&f.signature), Some(f.id));
+            let sig = map.planes().signature(f.id.index());
+            prop_assert_eq!(map.find_by_signature(&sig), Some(f.id));
             prop_assert!(field.contains(f.centroid));
             prop_assert!(f.bbox.contains(f.centroid));
             for &nb in map.neighbors(f.id) {
@@ -125,10 +126,8 @@ proptest! {
         // face_at agrees with the exact classifier on cell centres.
         for (_, center) in map.grid().iter_centers().step_by(7) {
             let id = map.face_at(center).unwrap();
-            prop_assert_eq!(
-                map.face(id).signature.clone(),
-                signature_of(center, &positions, c)
-            );
+            let exact = signature_of(center, &positions, c);
+            prop_assert_eq!(map.signature(id), exact.components());
         }
     }
 
@@ -155,12 +154,13 @@ proptest! {
             .collect();
         let v = SamplingVector::new(comps);
         let out = match_exhaustive(&map, &v);
-        for f in map.faces() {
-            prop_assert!(similarity(&v, &f.signature) <= out.similarity);
+        let sim = |f: usize| similarity(&v, &map.planes().signature(f));
+        for f in 0..map.face_count() {
+            prop_assert!(sim(f) <= out.similarity);
         }
         // Ties really are ties.
         for &id in &out.ties {
-            prop_assert_eq!(similarity(&v, &map.face(id).signature), out.similarity);
+            prop_assert_eq!(sim(id.index()), out.similarity);
         }
         // The heuristic never reports a better-than-optimal similarity.
         let h = match_heuristic(&map, &v, map.center_face());

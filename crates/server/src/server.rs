@@ -763,12 +763,7 @@ fn apply_churn(state: &ServerState, node: usize, death: bool) -> Frame {
             detail: "a face map needs at least two live sensors".into(),
         };
     }
-    let mut repaired = map.clone();
-    if death {
-        repaired.kill_node(node, RepairMode::Incremental);
-    } else {
-        repaired.revive_node(node, RepairMode::Incremental);
-    }
+    let (repaired, _) = map.repaired(node, death, RepairMode::Incremental);
     let epoch = repaired.epoch();
     let digest = digest_face_map(&repaired);
     *guard = Arc::new(repaired);

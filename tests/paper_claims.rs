@@ -164,10 +164,7 @@ fn certain_faces_vanish_with_spacing() {
         map.grid()
             .iter_centers()
             .filter(|&(_, center)| window.contains(center))
-            .filter(|&(_, center)| {
-                let id = map.face_at(center).unwrap();
-                map.face(id).is_certain()
-            })
+            .filter(|&(_, center)| map.is_certain(map.face_at(center).unwrap()))
             .count()
     };
     let tight = certain_cells_in_window(8.0);
