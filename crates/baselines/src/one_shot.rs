@@ -1,8 +1,9 @@
 //! One-shot detection sequences, the input of the certain-sequence
 //! baselines.
 
+use fttt::sampling::basic_sampling_vector_over;
 use fttt::vector::SamplingVector;
-use wsn_network::{pair_count, GroupSampling, PairIter};
+use wsn_network::GroupSampling;
 
 /// Builds the pairwise vector a certain-sequence method sees from a
 /// **single** sampling instant (the latest of the grouping window — the
@@ -19,28 +20,8 @@ use wsn_network::{pair_count, GroupSampling, PairIter};
 ///
 /// Panics if `group` has fewer than two node columns.
 pub fn one_shot_vector(group: &GroupSampling) -> SamplingVector {
-    let n = group.node_count();
-    assert!(n >= 2, "need at least two nodes for pair values");
-    let t = group.instants() - 1;
-    let mut comps = Vec::with_capacity(pair_count(n));
-    for (i, j) in PairIter::new(n) {
-        let v = match (group.get(t, i), group.get(t, j)) {
-            (Some(a), Some(b)) => {
-                if a > b {
-                    Some(1.0)
-                } else if a < b {
-                    Some(-1.0)
-                } else {
-                    Some(0.0)
-                }
-            }
-            (Some(_), None) => Some(1.0),
-            (None, Some(_)) => Some(-1.0),
-            (None, None) => None,
-        };
-        comps.push(v);
-    }
-    SamplingVector::new(comps)
+    let last = group.instants() - 1;
+    basic_sampling_vector_over(group, last..last + 1)
 }
 
 #[cfg(test)]

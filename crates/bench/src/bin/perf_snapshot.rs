@@ -18,6 +18,11 @@
 //! * match reference — the seed's exhaustive scan: per face one
 //!   `difference_norm_squared` plus a `1/√d²`, tracking the max similarity.
 //!
+//! The `sampling` rows time Algorithm 1 itself — a grouping sampling to
+//! its packed basic / extended vector, per vector over the probe
+//! groupings — at the served shape (n = 10, cell 2 m) and the campaign
+//! shape (n = 30, cell 2 m).
+//!
 //! A final `map_repair_us` row times the live-churn path at n = 40,
 //! cell 4 m: the median single-node death + revive repair, incremental
 //! (gated sub-millisecond) against the rebuild-per-event control
@@ -28,8 +33,8 @@
 //!
 //! Writes a table to stdout and `BENCH_core.json` at the repository root,
 //! one [`fttt_bench::gate`] row per `(layer, shape, metric)`: layers
-//! `facemap` (face count), `build` (ms), `matching` (µs), `speedup` (×)
-//! and `repair` (µs), shapes `n=…,cell=…`.
+//! `facemap` (face count), `build` (ms), `matching` (µs), `speedup` (×),
+//! `sampling` (µs) and `repair` (µs), shapes `n=…,cell=…`.
 //!
 //! With `--check BASELINE.json` the binary runs the same workload but,
 //! instead of writing the artifact, diffs the fresh timings against the
@@ -48,7 +53,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 use wsn_geometry::{CellIndex, Grid, Point, Rect};
-use wsn_network::{Deployment, GroupSampler, SensorField};
+use wsn_network::{Deployment, GroupSampler, GroupSampling, SensorField};
 use wsn_signal::{uncertainty_constant, PathLossModel};
 use wsn_telemetry::json::JsonValue;
 
@@ -67,6 +72,8 @@ struct Setup {
     probes: Vec<SamplingVector>,
     /// The extended vectors of the same probe samplings.
     probes_ext: Vec<SamplingVector>,
+    /// The probe samplings themselves.
+    probe_groups: Vec<GroupSampling>,
 }
 
 /// A seeded random deployment on the 100 m field, its face map at `cell`,
@@ -100,6 +107,7 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         truth,
         probes: probe_groups.iter().map(basic_sampling_vector).collect(),
         probes_ext: probe_groups.iter().map(extended_sampling_vector).collect(),
+        probe_groups,
     }
 }
 
@@ -254,6 +262,15 @@ struct Row {
     match_indexed_p99_us: f64,
     match_indexed_ext_us: f64,
     match_indexed_ext_p99_us: f64,
+}
+
+/// The `sampling` rows: Algorithm 1 from a grouping sampling to its packed
+/// vector, µs per vector.
+struct SamplingRow {
+    n: usize,
+    cell_m: f64,
+    basic_us: f64,
+    ext_us: f64,
 }
 
 /// Per-probe minimum-of-rounds single-match timings, 99th percentile, µs.
@@ -532,6 +549,39 @@ fn main() -> ExitCode {
         eprintln!("[perf_snapshot] n = {n} done");
     }
 
+    // Algorithm 1 alone, at the served and the campaign shapes: each
+    // timed round builds the vectors of all 100 probe groupings.
+    let sampling_rounds = if cli.fast { 2 } else { 16 };
+    let sampling: Vec<SamplingRow> = [10usize, 30]
+        .into_iter()
+        .map(|n| {
+            let s = setup(n, 7, 2.0);
+            let per_vector = |ms: f64| ms / s.probe_groups.len() as f64 * 1e3;
+            let t = time_interleaved_ms(
+                sampling_rounds,
+                &mut [
+                    &mut || {
+                        for g in &s.probe_groups {
+                            std::hint::black_box(basic_sampling_vector(g));
+                        }
+                    },
+                    &mut || {
+                        for g in &s.probe_groups {
+                            std::hint::black_box(extended_sampling_vector(g));
+                        }
+                    },
+                ],
+            );
+            SamplingRow {
+                n,
+                cell_m: s.cell,
+                basic_us: per_vector(t[0]),
+                ext_us: per_vector(t[1]),
+            }
+        })
+        .collect();
+    eprintln!("[perf_snapshot] sampling vectors done");
+
     // The live-churn row: median single-node repair at n = 40, cell 4 m
     // (625 cells — the finest n = 40 grid that keeps the median repair
     // sub-millisecond with real margin; cost is linear in cell count).
@@ -576,6 +626,12 @@ fn main() -> ExitCode {
             );
         }
     }
+    for r in &sampling {
+        println!(
+            "sampling vector @ n = {:>2}, cell {} m: basic = {:.2} µs, extended = {:.2} µs",
+            r.n, r.cell_m, r.basic_us, r.ext_us,
+        );
+    }
     println!(
         "map repair @ n = {}, cell {} m ({} events): incremental median = {:.1} µs, \
          rebuild-per-event median = {:.1} µs ({:.1}x)",
@@ -612,7 +668,7 @@ fn main() -> ExitCode {
     wsn_telemetry::uninstall();
     let metrics = registry.snapshot();
 
-    let doc = artifact(&rows, &repair, threads, cli.seed, &metrics);
+    let doc = artifact(&rows, &sampling, &repair, threads, cli.seed, &metrics);
     if let (Some(base), Some(path)) = (&baseline, &cli.check) {
         // Regression-gate mode: compare against the committed baseline and
         // leave BENCH_core.json untouched (a gate run must not move its
@@ -630,6 +686,7 @@ fn main() -> ExitCode {
 /// embedded under `"metrics"`.
 fn artifact(
     rows: &[Row],
+    sampling: &[SamplingRow],
     repair: &RepairRow,
     threads: usize,
     seed: u64,
@@ -700,6 +757,17 @@ fn artifact(
                 match_ref / r.match_indexed_us,
             );
         }
+    }
+    for r in sampling {
+        let shape = format!("n={},cell={}", r.n, r.cell_m);
+        out.push(gate::row(
+            "sampling",
+            &shape,
+            "vector_basic",
+            "us",
+            r.basic_us,
+        ));
+        out.push(gate::row("sampling", &shape, "vector_ext", "us", r.ext_us));
     }
     let shape = format!("n={},cell={}", repair.n, repair.cell_m);
     out.extend([

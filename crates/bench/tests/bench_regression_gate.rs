@@ -303,7 +303,7 @@ fn gate_cases() {
 }
 
 /// The tolerance table holds exactly the gated set: the face count as
-/// `Exact`, and ten core and four served metrics with their allowances.
+/// `Exact`, and twelve core and four served metrics with their allowances.
 /// Changing an allowance is a reviewed edit to this list.
 #[test]
 fn tolerance_table_is_the_gated_set() {
@@ -319,6 +319,8 @@ fn tolerance_table_is_the_gated_set() {
         ("matching", "indexed_p99", max(1.75, 50.0)),
         ("matching", "indexed_ext", max(2.5, 25.0)),
         ("matching", "indexed_ext_p99", max(2.5, 50.0)),
+        ("sampling", "vector_basic", max(2.5, 2.0)),
+        ("sampling", "vector_ext", max(2.5, 2.0)),
         ("repair", "incremental_median", max(3.0, 300.0)),
         ("serve", "round_p50_us", max(3.0, 2_000.0)),
         ("serve", "round_p99_us", max(3.0, 10_000.0)),
@@ -332,9 +334,10 @@ fn tolerance_table_is_the_gated_set() {
 
 /// The committed core baseline gates every shape it should: the full
 /// n = 10/20/40 sweep with build timings, the match-only n = 100/200
-/// scale rows, and exactly one n = 40 cell-4 live-churn repair row, whose
-/// incremental median is sub-millisecond and which keeps its ungated
-/// rebuild-per-event control.
+/// scale rows, the sampling-vector rows at the served (n = 10) and the
+/// campaign (n = 30) shapes, and exactly one n = 40 cell-4 live-churn
+/// repair row, whose incremental median is sub-millisecond and which
+/// keeps its ungated rebuild-per-event control.
 #[test]
 fn committed_core_baseline_covers_every_gated_shape() {
     let doc = committed("core.json");
@@ -356,6 +359,9 @@ fn committed_core_baseline_covers_every_gated_shape() {
     let mut faces = all.clone();
     faces.push("n=40,cell=4");
     assert_eq!(gated("facemap", "faces"), faces);
+    let engine = ["n=10,cell=2", "n=30,cell=2"];
+    assert_eq!(gated("sampling", "vector_basic"), engine);
+    assert_eq!(gated("sampling", "vector_ext"), engine);
     assert_eq!(gated("repair", "incremental_median"), ["n=40,cell=4"]);
     assert_eq!(gated("repair", "rebuild_median"), ["n=40,cell=4"]);
     let repair = rows

@@ -24,11 +24,11 @@ impl VectorComposition {
     /// Classifies every component of `v`.
     pub fn of(v: &SamplingVector) -> Self {
         let mut out = Self::default();
-        for c in v.components() {
+        for c in v.iter() {
             match c {
                 None => out.unknown += 1,
-                Some(x) if *x == 1.0 || *x == -1.0 => out.ordinal += 1,
-                Some(x) if *x == 0.0 => out.flipped += 1,
+                Some(x) if x == 1.0 || x == -1.0 => out.ordinal += 1,
+                Some(0.0) => out.flipped += 1,
                 Some(_) => out.fractional += 1,
             }
         }

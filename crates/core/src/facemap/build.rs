@@ -863,6 +863,13 @@ impl FaceMap {
         self.pair_gather.is_empty() || self.live.binary_search(&(node as u32)).is_ok()
     }
 
+    /// The sorted live deployment nodes once the map has lost one, `None`
+    /// while every deployment node is live.
+    #[inline]
+    pub(crate) fn churned_live_nodes(&self) -> Option<&[u32]> {
+        (!self.pair_gather.is_empty()).then_some(&self.live)
+    }
+
     /// Projects a sampling vector indexed by the *deployment's* pair
     /// enumeration down to this map's live-pair space, dropping the
     /// components that mention a dead sensor. A move when every
@@ -882,13 +889,7 @@ impl FaceMap {
             pair_count(self.deployment.len()),
             "sampling vector matches neither the deployment nor the map pairs"
         );
-        let comps = v.components();
-        SamplingVector::new(
-            self.pair_gather
-                .iter()
-                .map(|&i| comps[i as usize])
-                .collect(),
-        )
+        v.gather(&self.pair_gather)
     }
 
     /// The uncertainty constant used.

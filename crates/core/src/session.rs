@@ -356,18 +356,19 @@ impl TrackingSession {
         let round_index = self.round_index;
         self.round_index += 1;
         let v = self.tracker.sampling_vector(group);
+        let unknown = v.unknown_count();
         let missing_fraction = if v.is_empty() {
             1.0
         } else {
-            v.unknown_count() as f64 / v.len() as f64
+            unknown as f64 / v.len() as f64
         };
-        let known = v.len() - v.unknown_count();
+        let known = v.len() - unknown;
         let zero_fraction = if known == 0 {
             0.0
         } else {
-            v.components().iter().filter(|c| **c == Some(0.0)).count() as f64 / known as f64
+            v.zero_count() as f64 / known as f64
         };
-        let blackout = v.is_empty() || v.unknown_count() == v.len();
+        let blackout = v.is_empty() || unknown == v.len();
 
         if blackout {
             // Nothing to match against: matching an all-`*` vector ties

@@ -4,7 +4,7 @@
 use crate::error::ErrorStats;
 use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
 use crate::matching::{match_full, match_heuristic, MatchOutcome, MatchStrategy};
-use crate::sampling::{basic_sampling_vector, extended_sampling_vector};
+use crate::sampling::{basic_sampling_vector, columns_sampling_vector, extended_sampling_vector};
 use crate::vector::SamplingVector;
 use rand::Rng;
 use std::sync::Arc;
@@ -239,12 +239,22 @@ impl Tracker {
     /// still reports all deployment pairs, but only planes of live pairs
     /// partition the field, so dead pairs' components must not vote.
     pub fn sampling_vector(&self, group: &GroupSampling) -> SamplingVector {
-        let v = if self.options.extended {
-            extended_sampling_vector(group)
-        } else {
-            basic_sampling_vector(group)
-        };
-        self.map.project_sampling_vector(v)
+        let extended = self.options.extended;
+        match self.map.churned_live_nodes() {
+            // Built on the live columns alone, which equals projecting the
+            // full vector: a pair's value reads only its two columns.
+            Some(live) if group.node_count() == self.map.deployment().len() => {
+                columns_sampling_vector(group, live, extended)
+            }
+            _ => {
+                let v = if extended {
+                    extended_sampling_vector(group)
+                } else {
+                    basic_sampling_vector(group)
+                };
+                self.map.project_sampling_vector(v)
+            }
+        }
     }
 
     /// Repairs the tracker's map for one churn event (death when `death`,

@@ -33,6 +33,7 @@
 //!
 //! [`difference_norm_squared`]: crate::vector::difference_norm_squared
 
+use crate::vector::sampling_vec::Repr;
 use crate::vector::{hugepages, simd, SamplingVector, SignatureVector};
 use std::sync::OnceLock;
 
@@ -869,24 +870,25 @@ impl SignaturePlanes {
     }
 }
 
-/// A sampling vector pre-packed for the plane kernels.
+/// A sampling vector prepared for the plane kernels.
 ///
-/// Basic (ternary) vectors become three bit-masks (`plus`/`minus`/
-/// `present`); extended vectors become a flat value row plus a
-/// `{0.0, 1.0}` presence mask. Build once per localization, reuse across
-/// every face.
+/// The vector already holds the packed form (bit planes for ternary
+/// vectors, a value row and mask for extended ones); the query borrows
+/// it and adds what only matching needs: the sparse word list of a
+/// ternary query and, on the first envelope bound, an extended query's
+/// bound table. Build once per localization, reuse across every face.
 #[derive(Debug, Clone)]
-pub struct PackedQuery {
+pub struct PackedQuery<'a> {
     dim: usize,
-    kind: QueryKind,
+    kind: QueryKind<'a>,
 }
 
 #[derive(Debug, Clone)]
-enum QueryKind {
+enum QueryKind<'a> {
     Ternary {
-        plus: Vec<u64>,
-        minus: Vec<u64>,
-        present: Vec<u64>,
+        plus: &'a [u64],
+        minus: &'a [u64],
+        present: &'a [u64],
         /// Indices of the words with any present pair, kept only when the
         /// query is sparse enough (≤ ¼ of the words nonzero) that gathered
         /// scalar loops beat the dense SIMD sweep. Since `plus`/`minus` ⊆
@@ -895,8 +897,8 @@ enum QueryKind {
         active: Option<Vec<u32>>,
     },
     Extended {
-        vals: Vec<f64>,
-        mask: Vec<f64>,
+        vals: &'a [f64],
+        mask: &'a [f64],
         /// Per pair, the envelope bound's term for each set of component
         /// values a chunk may hold there: entry `a` is the smallest
         /// [`extended_term`] over the values in `a` (bit 0 for `+1`, bit 1
@@ -973,59 +975,40 @@ fn extended_bound_terms(vals: &[f64], mask: &[f64]) -> Vec<[f64; 8]> {
         .collect()
 }
 
-impl PackedQuery {
-    /// Packs a sampling vector, choosing the ternary bit-mask form when
-    /// every known component is in `{−1, 0, +1}` and the flat extended
-    /// form otherwise.
-    pub fn new(v: &SamplingVector) -> Self {
-        let dim = v.len();
-        if v.is_ternary() {
-            let words = words_for(dim);
-            let (mut plus, mut minus, mut present) =
-                (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
-            for (i, c) in v.components().iter().enumerate() {
-                if let Some(c) = c {
-                    let (w, b) = (i / 64, i % 64);
-                    present[w] |= 1 << b;
-                    plus[w] |= u64::from(*c == 1.0) << b;
-                    minus[w] |= u64::from(*c == -1.0) << b;
-                }
-            }
-            // Real sampling vectors hear one small node group, so most
-            // words carry no present pair at all; record the nonzero ones
-            // when they are rare enough for gathers to win.
-            let nonzero: Vec<u32> = present
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w != 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let active = (nonzero.len() * 4 <= words).then_some(nonzero);
-            Self {
-                dim,
-                kind: QueryKind::Ternary {
+impl<'a> PackedQuery<'a> {
+    /// Prepares a sampling vector for the kernels: ternary vectors take
+    /// the bit-mask fast path, extended vectors the flat value row.
+    pub fn new(v: &'a SamplingVector) -> Self {
+        let kind = match v.repr() {
+            Repr::Ternary {
+                plus,
+                minus,
+                present,
+            } => {
+                // Real sampling vectors hear one small node group, so most
+                // words carry no present pair at all; record the nonzero
+                // ones when they are rare enough for gathers to win.
+                let nonzero: Vec<u32> = present
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &w)| w != 0)
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                let active = (nonzero.len() * 4 <= present.len()).then_some(nonzero);
+                QueryKind::Ternary {
                     plus,
                     minus,
                     present,
                     active,
-                },
+                }
             }
-        } else {
-            let mut vals = Vec::with_capacity(dim);
-            let mut mask = Vec::with_capacity(dim);
-            for c in v.components() {
-                vals.push(c.unwrap_or(0.0));
-                mask.push(if c.is_some() { 1.0 } else { 0.0 });
-            }
-            Self {
-                dim,
-                kind: QueryKind::Extended {
-                    vals,
-                    mask,
-                    bound_terms: OnceLock::new(),
-                },
-            }
-        }
+            Repr::Extended { vals, mask } => QueryKind::Extended {
+                vals,
+                mask,
+                bound_terms: OnceLock::new(),
+            },
+        };
+        Self { dim: v.len(), kind }
     }
 
     /// Pair-component dimension.
@@ -1270,7 +1253,8 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_rejected() {
         let planes = planes_of(&[SignatureVector::new(vec![1, 0])]);
-        let q = PackedQuery::new(&SamplingVector::from_ternary(vec![Some(1)]));
+        let v = SamplingVector::from_ternary(vec![Some(1)]);
+        let q = PackedQuery::new(&v);
         let _ = planes.distance_squared(0, &q);
     }
 

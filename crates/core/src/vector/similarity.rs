@@ -19,7 +19,6 @@ pub fn difference_norm_squared(sampling: &SamplingVector, signature: &SignatureV
         signature.len()
     );
     sampling
-        .components()
         .iter()
         .zip(signature.components().iter())
         .map(|(s, &g)| match s {

@@ -264,7 +264,7 @@ proptest! {
             .filter(|&(_, (i, j))| i != dead && j != dead)
             .map(|(d, _)| full[d])
             .collect();
-        prop_assert_eq!(projected.components(), &expected[..]);
+        prop_assert_eq!(projected.iter().collect::<Vec<_>>(), expected);
         prop_assert_eq!(projected.len(), map.pair_dimension());
     }
 }

@@ -54,7 +54,7 @@ proptest! {
     ) {
         let d = difference_norm_squared(&v, &sig);
         prop_assert!(d <= 10.0 * 4.0 + 1e-9);
-        let mut comps: Vec<Option<f64>> = v.components().to_vec();
+        let mut comps: Vec<Option<f64>> = v.iter().collect();
         comps[idx] = None;
         let starred = SamplingVector::new(comps);
         prop_assert!(difference_norm_squared(&starred, &sig) <= d + 1e-12);
@@ -93,11 +93,11 @@ proptest! {
         // zero exactly-ordinal disagreement with the basic vector's signs.
         let e = extended_sampling_vector(&group);
         prop_assert_eq!(e.len(), v.len());
-        for (b, x) in v.components().iter().zip(e.components()) {
+        for (b, x) in v.iter().zip(e.iter()) {
             prop_assert_eq!(b.is_none(), x.is_none());
             if let (Some(b), Some(x)) = (b, x) {
-                if *b == 1.0 { prop_assert!(*x > 0.0 || *x == 0.0 && *b == 0.0); }
-                if *b == -1.0 { prop_assert!(*x <= 0.0); }
+                if b == 1.0 { prop_assert!(x > 0.0 || x == 0.0 && b == 0.0); }
+                if b == -1.0 { prop_assert!(x <= 0.0); }
             }
         }
     }

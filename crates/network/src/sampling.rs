@@ -103,6 +103,17 @@ impl GroupSampling {
         self.readings[instant * self.nodes + node] = value;
     }
 
+    /// The readings of one instant, `row[j]` the reading of node `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instant` is out of range.
+    #[inline]
+    pub fn row(&self, instant: usize) -> &[Option<Rss>] {
+        assert!(instant < self.instants, "index out of range");
+        &self.readings[instant * self.nodes..(instant + 1) * self.nodes]
+    }
+
     /// Column of node `node` across all instants.
     pub fn column(&self, node: usize) -> impl Iterator<Item = Option<Rss>> + '_ {
         assert!(node < self.nodes, "node index out of range");
@@ -236,19 +247,22 @@ impl GroupSampler {
                 silent_nodes += 1;
                 continue;
             }
-            let d = node.distance_to(target);
+            // One mean per node and grouping: its readings differ only in
+            // their noise draws.
+            let mean = self.model.mean_rss(node.distance_to(target)).dbm();
+            let offset = self.node_offsets.get(j).copied().unwrap_or(0.0);
             for t in 0..self.samples {
                 if self.fault.reading_drops(rng) {
                     dropped += 1;
                     continue;
                 }
-                let reading = match self.noise {
-                    SamplerNoise::GaussianEq1 => self.model.sample_rss(d, rng),
+                let noise = match self.noise {
+                    SamplerNoise::GaussianEq1 => self.model.shadowing(rng),
                     SamplerNoise::UniformBand { half_width } => {
-                        self.model.sample_rss_bounded(d, half_width, rng)
+                        self.model.bounded_noise(half_width, rng)
                     }
                 };
-                let offset = self.node_offsets.get(j).copied().unwrap_or(0.0);
+                let reading = Rss::new(mean + noise);
                 out.set(t, j, Some(Rss::new(reading.dbm() + offset)));
                 delivered += 1;
             }

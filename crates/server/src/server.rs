@@ -512,6 +512,10 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, txs: Vec<SyncSend
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are small frames the client waits on: with Nagle's
+        // algorithm a reply queued behind an unacknowledged one waits for
+        // the client's delayed ACK. The writer coalesces instead.
+        let _ = stream.set_nodelay(true);
         next_conn += 1;
         let conn_id = next_conn;
         let st = Arc::clone(&state);
@@ -549,6 +553,7 @@ fn conn_loop(
 
     let max_frame = state.config.max_frame;
     let shards = txs.len() as u64;
+    let mut shutdown = false;
     loop {
         let (frame, trace) = match read_frame_traced(&mut stream, max_frame) {
             Ok(f) => f,
@@ -641,7 +646,11 @@ fn conn_loop(
             Frame::Shutdown => {
                 let _ = out_tx.send(Frame::ShutdownAck.encode_traced(trace));
                 state.conn_registry.counter("fttt.server.shutdowns").inc();
-                state.signal_shutdown();
+                // Signalled below, once the writer has sent the ack: the
+                // process may exit as soon as the server stops, and an
+                // ack still queued then never reaches the client.
+                shutdown = true;
+                break;
             }
             // Server-to-client frames arriving at the server are protocol
             // abuse; answer and drop.
@@ -670,6 +679,9 @@ fn conn_loop(
         .inc();
     drop(out_tx);
     let _ = writer.join();
+    if shutdown {
+        state.signal_shutdown();
+    }
 }
 
 /// Routes `job` to its shard, shedding with [`ErrorCode::Overloaded`]
@@ -1129,10 +1141,25 @@ fn unknown_session(session: u64) -> Frame {
     }
 }
 
+/// The most reply bytes the writer folds into one `write`.
+const WRITE_COALESCE_BYTES: usize = 16 * 1024;
+
 fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
     use std::io::Write;
-    while let Ok(buf) = rx.recv() {
-        if stream.write_all(&buf).is_err() {
+    // The socket has no Nagle delay, so each write is a segment: the
+    // replies already queued behind the first leave in the same write,
+    // copied into one buffer the connection keeps.
+    let mut out = Vec::with_capacity(WRITE_COALESCE_BYTES);
+    while let Ok(first) = rx.recv() {
+        out.clear();
+        out.extend_from_slice(&first);
+        while out.len() < WRITE_COALESCE_BYTES {
+            match rx.try_recv() {
+                Ok(more) => out.extend_from_slice(&more),
+                Err(_) => break,
+            }
+        }
+        if stream.write_all(&out).is_err() {
             break;
         }
     }

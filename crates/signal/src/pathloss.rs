@@ -83,8 +83,16 @@ impl PathLossModel {
     /// One noisy RSS sample at distance `d` (full eq. 1).
     #[inline]
     pub fn sample_rss<R: Rng + ?Sized>(&self, d: f64, rng: &mut R) -> Rss {
-        let noise = Gaussian::new(0.0, self.sigma).sample(rng);
+        let noise = self.shadowing(rng);
         Rss::new(self.mean_rss(d).dbm() + noise)
+    }
+
+    /// Eq. 1's shadowing term alone: one zero-mean Gaussian draw of `σ`
+    /// dB, the draw [`PathLossModel::sample_rss`] adds to the mean. Lets a
+    /// caller sampling one distance many times compute the mean once.
+    #[inline]
+    pub fn shadowing<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        Gaussian::new(0.0, self.sigma).sample(rng)
     }
 
     /// One RSS sample with **bounded** (uniform) noise in
@@ -104,16 +112,28 @@ impl PathLossModel {
     /// Panics if `half_width` is negative or non-finite.
     #[inline]
     pub fn sample_rss_bounded<R: Rng + ?Sized>(&self, d: f64, half_width: f64, rng: &mut R) -> Rss {
+        let noise = self.bounded_noise(half_width, rng);
+        Rss::new(self.mean_rss(d).dbm() + noise)
+    }
+
+    /// The noise term of [`PathLossModel::sample_rss_bounded`] alone: one
+    /// uniform draw in `[−half_width, +half_width]` dB (none when the
+    /// width is zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `half_width` is negative or non-finite.
+    #[inline]
+    pub fn bounded_noise<R: Rng + ?Sized>(&self, half_width: f64, rng: &mut R) -> f64 {
         assert!(
             half_width.is_finite() && half_width >= 0.0,
             "noise half-width must be non-negative, got {half_width}"
         );
-        let noise = if half_width > 0.0 {
+        if half_width > 0.0 {
             rng.gen_range(-half_width..=half_width)
         } else {
             0.0
-        };
-        Rss::new(self.mean_rss(d).dbm() + noise)
+        }
     }
 
     /// The uniform-noise half-width (dB) whose flip-possible region is the
